@@ -15,19 +15,25 @@ all such multiplications are equivalent:
 
 After the passes the table must equal Yang's entry for entry; the composed
 certificate (sigma1, sigma2, tau) replays the reduction in one twist.
+
+The normalizer's precondition, the Lagrange identity N(x*y) = N(x)N(y), is
+proved exactly by ``check_lagrange``: the defect N(x*y) - N(x)N(y) is an
+A0-biquadratic form, so it vanishes identically once it vanishes on the
+36 x 36 pairs of proof points b_i and b_i + b_j.
 """
 
 from __future__ import annotations
 
-import random
+import operator
 from dataclasses import dataclass
+from functools import cache, reduce
+from itertools import combinations, product
 
 from .laurent import LaurentPoly, UnitA
 from .algebra import (
     OctonionElt,
     decompose_unit,
     norm,
-    random_oct,
     yang_mul,
 )
 from .ortho import OrthoNF, RecognitionError, TBASIS, recognize, tbasis_elt
@@ -55,19 +61,16 @@ class MulTable:
     """Structure constants of an A0-bilinear multiplication on E.
 
     ``c[i][j]`` is the product b_i * b_j over the Z[t]-basis
-    b = (e0, e1, e2, e3, z e0, z e1, z e2, z e3).  Entries are immutable;
-    ``lagrange_checked`` records whether a probabilistic Lagrange check has
-    passed on this instance.
+    b = (e0, e1, e2, e3, z e0, z e1, z e2, z e3).  Entries are immutable.
     """
 
-    __slots__ = ("c", "lagrange_checked")
+    __slots__ = ("c",)
 
-    def __init__(self, entries, lagrange_checked: bool = False):
+    def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != 8 or any(len(r) != 8 for r in rows):
             raise ValueError("a multiplication table has 8x8 entries")
         self.c = rows
-        self.lagrange_checked = lagrange_checked
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MulTable):
@@ -85,25 +88,24 @@ class MulTable:
         return acc
 
     def to_json(self) -> dict:
-        return {
-            "basis": BASIS_LABEL,
-            "c": [[e.to_json() for e in row] for row in self.c],
-            "lagrange_checked": self.lagrange_checked,
-        }
+        return {"basis": BASIS_LABEL, "c": [[e.to_json() for e in row] for row in self.c]}
 
     @classmethod
     def from_json(cls, data) -> MulTable:
-        if not isinstance(data, dict) or set(data) != {"basis", "c", "lagrange_checked"}:
-            raise ValueError("table JSON must have keys basis, c, lagrange_checked")
+        """Parse ``{"basis", "c"}``.  A boolean ``lagrange_checked`` key, which
+        older files carry, is accepted and ignored: the Lagrange identity is
+        always proved, never taken from the file."""
+        if (not isinstance(data, dict) or set(data) - {"lagrange_checked"} != {"basis", "c"}
+                or not isinstance(data.get("lagrange_checked", False), bool)):
+            raise ValueError("table JSON must have keys basis, c")
         if data["basis"] != BASIS_LABEL:
             raise ValueError(f"unsupported basis label {data['basis']!r}")
-        if not isinstance(data["lagrange_checked"], bool):
-            raise ValueError("lagrange_checked must be a boolean")
         c = data["c"]
-        if not isinstance(c, list) or len(c) != 8 or any(len(r) != 8 for r in c):
-            raise ValueError("table JSON needs an 8x8 entry array")
-        entries = [[OctonionElt.from_json(e) for e in row] for row in c]
-        return cls(entries, data["lagrange_checked"])
+        if not (isinstance(c, list) and len(c) == 8 and all(
+                isinstance(row, list) and len(row) == 8
+                and all(isinstance(e, dict) for e in row) for row in c)):
+            raise ValueError("table JSON needs an 8x8 array of element objects")
+        return cls([[OctonionElt.from_json(e) for e in row] for row in c])
 
 
 def _expand(x: OctonionElt):
@@ -123,15 +125,10 @@ def table_of(mul) -> MulTable:
     return MulTable([[mul(bi, bj) for bj in TBASIS] for bi in TBASIS])
 
 
-_YANG_ENTRIES = None
-
-
+@cache
 def yang_table() -> MulTable:
-    """The table of the Yang multiplication (entries shared, flag fresh)."""
-    global _YANG_ENTRIES
-    if _YANG_ENTRIES is None:
-        _YANG_ENTRIES = table_of(yang_mul).c
-    return MulTable(_YANG_ENTRIES, lagrange_checked=True)
+    """The table of the Yang multiplication (built once, shared)."""
+    return table_of(yang_mul)
 
 
 @dataclass(frozen=True)
@@ -190,51 +187,61 @@ def compose_twists(first: EquivCertificate, second: EquivCertificate) -> EquivCe
 
 @dataclass
 class LagrangeReport:
+    """Outcome of ``check_lagrange``: how many proof point pairs were checked
+    and, on failure, the first pair (x, y) with N(x*y) != N(x)N(y)."""
+
     ok: bool
-    basis_pairs: int
-    trials: int
-    counterexample: tuple[OctonionElt, OctonionElt] | None = None
+    pairs: int
+    witness: tuple[OctonionElt, OctonionElt] | None = None
     message: str = "ok"
 
 
-def check_lagrange(table: MulTable, trials: int = 200, rng=None,
-                   degree_bound: int = 3, coeff_bound: int = 9) -> LagrangeReport:
-    """Check N(x*y) = N(x)N(y) on all 64 basis pairs plus random pairs.
+def _point(idx: tuple[int, ...]) -> OctonionElt:
+    """The proof point sum(b_i for i in idx)."""
+    return reduce(operator.add, (TBASIS[i] for i in idx))
 
-    A random counterexample is minimized by re-searching at smaller degree
-    bounds before reporting.  On success the table's ``lagrange_checked``
-    flag is set.
+
+def _point_label(idx: tuple[int, ...]) -> str:
+    return "+".join(f"b{i}" for i in idx)
+
+
+@cache
+def _proof_pairs() -> tuple:
+    """The 36 x 36 pairs of proof points b_i and b_i + b_j (i < j), as
+    (x indices, y indices, N(x)N(y)), fewest basis terms first: the 64 basis
+    pairs, then the pairs with one sum, then those with two."""
+    points = [(i,) for i in range(8)] + list(combinations(range(8), 2))
+    norms = {p: norm(_point(p)) for p in points}
+    pairs = sorted(product(points, repeat=2), key=lambda pq: len(pq[0]) + len(pq[1]))
+    return tuple((p, q, norms[p] * norms[q]) for p, q in pairs)
+
+
+def check_lagrange(table: MulTable) -> LagrangeReport:
+    """Prove or refute N(x*y) = N(x)N(y) for all x, y in E.
+
+    The defect F(x, y) = N(x*y) - N(x)N(y) is biquadratic over A0 in the
+    Z[t]-coordinates of x and y.  A quadratic form q is fixed by its values
+    q(b_i) and q(b_i + b_j), whose difference with q(b_i) + q(b_j) is the
+    cross coefficient; so F vanishes identically iff it vanishes on the
+    36 x 36 pairs of proof points b_i, b_i + b_j, and no division is needed.
+    The product of two proof points is a sum of at most four table entries,
+    so ``eval`` is never called.
+
+    The 64 basis pairs are checked first; the first failing pair, which has
+    the fewest basis terms, is the witness.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = random.Random(0)
-    for i, bi in enumerate(TBASIS):
-        for j, bj in enumerate(TBASIS):
-            if norm(table.c[i][j]) != norm(bi) * norm(bj):
-                return LagrangeReport(
-                    False, 64, 0, (bi, bj),
-                    f"norm not multiplicative at basis pair ({i},{j})")
-
-    def search(bound: int):
-        for _ in range(trials):
-            x = random_oct(rng, bound, coeff_bound)
-            y = random_oct(rng, bound, coeff_bound)
-            if norm(table.eval(x, y)) != norm(x) * norm(y):
-                return x, y
-        return None
-
-    cex = search(degree_bound)
-    if cex is not None:
-        for bound in range(degree_bound):
-            smaller = search(bound)
-            if smaller is not None:
-                cex = smaller
-                break
-        return LagrangeReport(False, 64, trials, cex,
-                              "norm not multiplicative on a random pair")
-    table.lagrange_checked = True
-    return LagrangeReport(True, 64, trials)
+    c = table.c
+    # proof point p -> its products p * b_k, built on first use
+    rows = {(i,): row for i, row in enumerate(c)}
+    for count, (p, q, expected) in enumerate(_proof_pairs(), 1):
+        if p not in rows:
+            rows[p] = [a + b for a, b in zip(c[p[0]], c[p[1]])]
+        if norm(reduce(operator.add, (rows[p][k] for k in q))) != expected:
+            return LagrangeReport(
+                False, count, (_point(p), _point(q)),
+                f"norm not multiplicative at proof point pair "
+                f"({_point_label(p)}, {_point_label(q)})")
+    return LagrangeReport(True, count)
 
 
 def _require_identity(table: MulTable, context: str):
@@ -333,17 +340,17 @@ def align_triple_products(table: MulTable) -> tuple[MulTable, EquivCertificate]:
     return out, cert
 
 
-def normalize(table: MulTable, trials: int = 200, rng=None) -> EquivCertificate:
+def normalize(table: MulTable) -> EquivCertificate:
     """Drive a Lagrange-valid table to the Yang table; return the certificate.
 
-    Runs the Lagrange check first unless the flag is already set, chains the
-    three passes, and composes their partial twists into one triple whose
-    replay is verified against the Yang table exactly.
+    Proves the Lagrange identity first (``check_lagrange``, raising
+    ``LagrangeError`` with the witness pair), chains the three passes, and
+    composes their partial twists into one triple whose replay is verified
+    against the Yang table exactly.
     """
-    if not table.lagrange_checked:
-        report = check_lagrange(table, trials=trials, rng=rng)
-        if not report.ok:
-            raise LagrangeError(report)
+    report = check_lagrange(table)
+    if not report.ok:
+        raise LagrangeError(report)
     t1, c1 = kaplansky_unitize(table)
     t2, c2 = straighten_scalar_action(t1)
     t3, c3 = align_triple_products(t2)

@@ -3,16 +3,18 @@
 import json
 import random
 
-from yangalg import cli
-from yangalg.algebra import yang_mul_with_sign_flip
+from yangalg import cli, multable
+from yangalg.algebra import OctonionElt, norm, yang_mul_with_sign_flip
 from yangalg.cli import RunConfig, main, run_verify
 from yangalg.multable import (
     EquivCertificate,
+    LagrangeReport,
     MulTable,
+    twist,
     verify_certificate,
     yang_table,
 )
-from yangalg.ortho import OrthoNF
+from yangalg.ortho import OrthoNF, random_nf
 from yangalg.sequences import is_hadamard, parse_hadamard
 
 
@@ -127,39 +129,71 @@ def test_normalize_parse_error(tmp_path):
     assert main(["normalize", str(missing)]) == cli.EXIT_PARSE
 
 
-def test_normalize_lagrange_failure(tmp_path, capsys):
+def test_normalize_malformed_table_exits_2(tmp_path, capsys):
+    good = yang_table().to_json()
+    for k, c in enumerate((list(range(1, 9)), [list(range(8))] * 8,
+                           good["c"][:7] + [None])):
+        table_file = tmp_path / f"malformed-{k}.json"
+        table_file.write_text(json.dumps({"basis": good["basis"], "c": c,
+                                          "lagrange_checked": False}))
+        assert main(["normalize", str(table_file)]) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "cannot read table" in err and "Traceback" not in err
+
+
+def _negated_entry_file(tmp_path, **extra):
     entries = [list(row) for row in yang_table().c]
     entries[1][2] = -entries[1][2]
     bad = MulTable(entries)
     bad_file = tmp_path / "bad_table.json"
-    bad_file.write_text(json.dumps(bad.to_json()))
+    bad_file.write_text(json.dumps(dict(bad.to_json(), **extra)))
+    return bad, bad_file
+
+
+def test_normalize_lagrange_failure(tmp_path, capsys):
+    bad, bad_file = _negated_entry_file(tmp_path)
     assert main(["--trials", "200", "normalize", str(bad_file)]) == cli.EXIT_LAGRANGE
     err = capsys.readouterr().err
-    assert "norm not multiplicative" in err
+    assert "norm not multiplicative at proof point pair" in err
+    # the last stderr line is the witness pair, checked through eval
+    pair = json.loads(err.strip().splitlines()[-1])
+    x, y = OctonionElt.from_json(pair["x"]), OctonionElt.from_json(pair["y"])
+    assert norm(bad.eval(x, y)) != norm(x) * norm(y)
+    assert not (tmp_path / "bad_table.cert.json").exists()
+
+
+def test_normalize_ignores_stored_lagrange_flag(tmp_path, capsys):
+    # a file that claims the check already passed is proved all the same
+    _bad, bad_file = _negated_entry_file(tmp_path, lagrange_checked=True)
+    assert main(["normalize", str(bad_file)]) == cli.EXIT_LAGRANGE
+    assert "norm not multiplicative" in capsys.readouterr().err
 
 
 def test_normalize_pass_rejection(tmp_path, monkeypatch, capsys):
-    entries = [list(row) for row in yang_table().c]
-    entries[1][2] = -entries[1][2]
-    bad = MulTable(entries)
-    bad_file = tmp_path / "bad_table.json"
-    bad_file.write_text(json.dumps(bad.to_json()))
-
-    # if the probabilistic gate misses the defect, the passes must reject
-    from yangalg.multable import LagrangeReport
-
-    monkeypatch.setattr(cli, "check_lagrange",
-                        lambda table, **kw: LagrangeReport(True, 64, 0))
-    monkeypatch.setattr(cli, "normalize", _normalize_with_flag)
+    _bad, bad_file = _negated_entry_file(tmp_path)
+    # force the Lagrange gate open: the passes must still reject
+    monkeypatch.setattr(multable, "check_lagrange",
+                        lambda table: LagrangeReport(True, 0))
     assert main(["normalize", str(bad_file)]) == cli.EXIT_NORMALIZE
     assert "error" in capsys.readouterr().err
 
 
-def _normalize_with_flag(table, **kw):
-    from yangalg.multable import normalize
-
-    table.lagrange_checked = True
-    return normalize(table, **kw)
+def test_normalize_ignores_sampling_flags(tmp_path):
+    rng = random.Random(8)
+    table = twist(yang_table(), *(random_nf(rng, 2) for _ in range(3)))
+    table_file = tmp_path / "twisted.json"
+    table_file.write_text(json.dumps(table.to_json()))
+    certs = set()
+    for k, flags in enumerate((["--trials", "0"], ["--trials", "200"],
+                               ["--degree-bound", "-1"], ["--seed", "1"],
+                               ["--seed", "2"])):
+        cert_file = tmp_path / f"cert-{k}.json"
+        assert main(flags + ["normalize", str(table_file),
+                             "--out", str(cert_file)]) == cli.EXIT_OK
+        certs.add(cert_file.read_bytes())
+    assert len(certs) == 1
+    cert = EquivCertificate.from_json(json.loads(certs.pop()))
+    assert verify_certificate(table, cert)
 
 
 def test_hadamard_search(tmp_path):

@@ -3,16 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangalg.laurent import Z, LaurentPoly, UnitA
 from yangalg.algebra import (
+    YANG_SIGNS,
     OctonionElt,
     cd_oct_mul,
     iso_cd_to_yang,
     norm,
     random_oct,
+    thakur_mul,
     trace,
     yang_mul,
+    yang_mul_with_sign_flip,
 )
 from yangalg.multable import (
     EquivCertificate,
@@ -115,22 +119,62 @@ def test_twist_action_composes():
     assert once == twist(yt, combined.sigma1, combined.sigma2, combined.tau)
 
 
+def _is_lagrange_witness(table, witness) -> bool:
+    """Independent oracle: the pair breaks N(x*y) = N(x)N(y) under eval."""
+    x, y = witness
+    return norm(table.eval(x, y)) != norm(x) * norm(y)
+
+
 def test_check_lagrange_pass_and_fail():
-    yt = MulTable(yang_table().c)
-    report = check_lagrange(yt, trials=50, rng=random.Random(44))
-    assert report.ok and yt.lagrange_checked
+    report = check_lagrange(yang_table())
+    assert report.ok and report.pairs == 36 * 36 and report.witness is None
 
     rng = random.Random(45)
     tw = twist(yang_table(), *(random_nf(rng, 2) for _ in range(3)))
-    assert check_lagrange(tw, trials=50, rng=random.Random(46)).ok
+    assert check_lagrange(tw).ok
 
     bad = negated_entry_table()
-    report = check_lagrange(bad, trials=200, rng=random.Random(47))
+    report = check_lagrange(bad)
     assert not report.ok
-    assert report.counterexample is not None
-    x, y = report.counterexample
-    assert norm(bad.eval(x, y)) != norm(x) * norm(y)
-    assert not bad.lagrange_checked
+    assert _is_lagrange_witness(bad, report.witness)
+
+
+def test_check_lagrange_rejects_every_negated_entry():
+    for k in range(64):
+        bad = negated_entry_table(*divmod(k, 8))
+        report = check_lagrange(bad)
+        assert not report.ok, f"negated entry {divmod(k, 8)} accepted"
+        assert _is_lagrange_witness(bad, report.witness)
+
+
+def test_check_lagrange_rejects_every_sign_flip():
+    for k in range(len(YANG_SIGNS)):
+        bad = table_of(yang_mul_with_sign_flip(k))
+        report = check_lagrange(bad)
+        assert not report.ok, f"sign flip {k} accepted"
+        assert _is_lagrange_witness(bad, report.witness)
+
+
+def test_check_lagrange_accepts_other_composition_products():
+    assert check_lagrange(table_of(cd_oct_mul)).ok
+    assert check_lagrange(table_of(thakur_mul)).ok
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_check_lagrange_accepts_twisted_yang_tables(rng):
+    tw = twist(yang_table(), *(random_nf(rng, 3) for _ in range(3)))
+    report = check_lagrange(tw)
+    assert report.ok and report.pairs == 36 * 36
+
+
+def test_check_lagrange_witness_is_a_basis_pair_when_one_fails():
+    # scaling one entry by 2 breaks the norm on the basis pair itself
+    entries = [list(row) for row in yang_table().c]
+    entries[2][5] = entries[2][5] * 2
+    report = check_lagrange(MulTable(entries))
+    assert not report.ok and report.pairs <= 64
+    assert report.witness == (TBASIS[2], TBASIS[5])
 
 
 def test_kaplansky_on_yang_is_trivial():
@@ -195,18 +239,18 @@ def test_normalize_round_trip():
     for _ in range(10):
         triple = tuple(random_nf(rng, 3) for _ in range(3))
         tw = twist(yang_table(), *triple)
-        cert = normalize(tw, trials=30, rng=random.Random(50))
+        cert = normalize(tw)
         assert verify_certificate(tw, cert)
 
 
 def test_normalize_cd_table():
     cd_via_iso = table_of(
         lambda x, y: iso_cd_to_yang(cd_oct_mul(iso_cd_to_yang(x), iso_cd_to_yang(y))))
-    cert = normalize(cd_via_iso, trials=30, rng=random.Random(51))
+    cert = normalize(cd_via_iso)
     assert cert == EquivCertificate.identity()
 
     raw_cd = table_of(cd_oct_mul)
-    cert = normalize(raw_cd, trials=30, rng=random.Random(52))
+    cert = normalize(raw_cd)
     t3 = tau_k(3)
     assert cert == EquivCertificate(t3, t3, t3)
     assert verify_certificate(raw_cd, cert)
@@ -216,7 +260,7 @@ def test_normalize_opposite_multiplication():
     # x, y -> y*x is Lagrange-valid but not built as a twist of the Yang
     # table; the normalizer must still reduce it
     opp = table_of(lambda x, y: yang_mul(y, x))
-    cert = normalize(opp, trials=50, rng=random.Random(57))
+    cert = normalize(opp)
     assert verify_certificate(opp, cert)
     flip = OrthoNF(
         (ID, ID, ID, UnitA(-1, 0)),
@@ -230,25 +274,29 @@ def test_normalize_conjugated_multiplication():
     from yangalg.algebra import oct_conj
 
     conj_mul = table_of(lambda x, y: oct_conj(yang_mul(x, y)))
-    cert = normalize(conj_mul, trials=50, rng=random.Random(58))
+    cert = normalize(conj_mul)
     assert cert != EquivCertificate.identity()
     assert verify_certificate(conj_mul, cert)
 
     rng = random.Random(59)
     tw = twist(conj_mul, *(random_nf(rng, 3) for _ in range(3)))
-    cert = normalize(tw, trials=50, rng=random.Random(60))
+    cert = normalize(tw)
     assert verify_certificate(tw, cert)
 
 
 def test_normalize_rejects_bad_table():
     bad = negated_entry_table()
-    with pytest.raises(LagrangeError):
-        normalize(bad, trials=200, rng=random.Random(53))
-    # forcing the flag skips the probabilistic gate; the passes or the final
-    # comparison must still reject
-    bad.lagrange_checked = True
-    with pytest.raises(NormalizationError):
+    with pytest.raises(LagrangeError) as info:
         normalize(bad)
+    assert _is_lagrange_witness(bad, info.value.report.witness)
+    # a stored lagrange_checked claim is not trusted
+    with pytest.raises(LagrangeError):
+        normalize(MulTable.from_json(dict(bad.to_json(), lagrange_checked=True)))
+    # behind the Lagrange gate, the passes must still reject the table
+    with pytest.raises(NormalizationError):
+        t1, _ = kaplansky_unitize(bad)
+        t2, _ = straighten_scalar_action(t1)
+        align_triple_products(t2)
 
 
 def test_normalize_quadratic_identity_after_unitize():
@@ -291,14 +339,25 @@ def test_elduque_checks():
 def test_table_json_round_trip():
     yt = yang_table()
     data = yt.to_json()
+    assert set(data) == {"basis", "c"}
     assert MulTable.from_json(data) == yt
-    assert MulTable.from_json(data).lagrange_checked
-    with pytest.raises(ValueError):
-        MulTable.from_json({"basis": "other", "c": data["c"],
-                            "lagrange_checked": False})
-    with pytest.raises(ValueError):
-        MulTable.from_json({"basis": data["basis"], "c": data["c"][:7],
-                            "lagrange_checked": False})
+    # older files carry a boolean lagrange_checked key: accepted and ignored
+    for flag in (True, False):
+        assert MulTable.from_json(dict(data, lagrange_checked=flag)) == yt
+    malformed = [
+        {"basis": "other", "c": data["c"]},
+        {"basis": data["basis"], "c": data["c"][:7]},
+        {"basis": data["basis"], "c": list(range(8))},
+        {"basis": data["basis"], "c": [list(range(8))] * 8},
+        {"basis": data["basis"], "c": data["c"][:7] + ["row"]},
+        dict(data, lagrange_checked="yes"),
+        dict(data, extra=1),
+        {"c": data["c"]},
+        data["c"],
+    ]
+    for bad in malformed:
+        with pytest.raises(ValueError):
+            MulTable.from_json(bad)
 
 
 def test_certificate_json_round_trip():
