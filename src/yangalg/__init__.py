@@ -3,7 +3,6 @@ multiplication-table normalization, and T-sequence/Hadamard constructions."""
 
 from .laurent import (
     LaurentPoly,
-    TPoly,
     UnitA,
     divexact,
     factor_sphere_prime,
@@ -49,7 +48,6 @@ from .sequences import (
     hall_poly,
     is_hadamard,
     is_t_sequence,
-    npaf,
     to_pm1_quad,
     yang_compose,
 )

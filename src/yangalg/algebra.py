@@ -154,15 +154,16 @@ def yang_mul_with_signs(x: OctonionElt, y: OctonionElt, signs) -> OctonionElt:
     ``signs == YANG_SIGNS`` gives the genuine product; flipping a single
     entry produces a faulty variant for mutation-testing the checks.
     """
-    xs, ys = x.coords, y.coords
+    # xs[False] holds the coordinates and xs[True] their conjugates, so each
+    # coordinate is conjugated once per product, not once per term.
+    xs = (x.coords, tuple(c.conj() for c in x.coords))
+    ys = (y.coords, tuple(c.conj() for c in y.coords))
     out = []
     pos = 0
     for row in _YANG_TERMS:
         acc = _ZERO
         for (_sign, i, ci, j, cj) in row:
-            a = xs[i].conj() if ci else xs[i]
-            b = ys[j].conj() if cj else ys[j]
-            term = a * b
+            term = xs[ci][i] * ys[cj][j]
             acc = acc + (term if signs[pos] > 0 else -term)
             pos += 1
         out.append(acc)

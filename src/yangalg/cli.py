@@ -1,12 +1,14 @@
 """Command-line front end: verification suites, table normalization,
 sequence composition, and Hadamard generation.
 
-Every command is one-shot and fully determined by (seed, trials, bounds), so
-reruns with the same flags produce byte-identical reports.  Exit codes:
+Every command is one-shot and fully determined by its input files and the
+flags (seed, trials, degree bound), so reruns with the same flags produce
+byte-identical reports.  Exit codes:
 
     0   success
     1   verification suite found a counterexample
-    2   input failed to parse
+    2   bad input: a file failed to parse, a flag is out of range, or an
+        output file cannot be written
     3   table failed the Lagrange identity check
     4   a normalization pass rejected the table
     5   input quad is not a T-sequence
@@ -61,7 +63,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 200
     degree_bound: int = 3
-    exp_bound: int = 3
     output_format: str = "text"
 
     def rng(self) -> random.Random:
@@ -87,7 +88,6 @@ def run_verify(config: RunConfig, mul=None):
         "seed": config.seed,
         "trials": n,
         "degree_bound": d,
-        "exp_bound": config.exp_bound,
         "identities": identities,
         "all_passed": True,
     }
@@ -184,6 +184,11 @@ def _emit_report(report: dict, config: RunConfig):
 
 
 def cmd_verify(config: RunConfig, mul=None) -> int:
+    # With no trials, or only zero elements to sample, every identity would
+    # pass vacuously.
+    if config.trials < 1 or config.degree_bound < 0:
+        print("error: verify needs --trials >= 1 and --degree-bound >= 0", file=sys.stderr)
+        return EXIT_PARSE
     ok, report = run_verify(config, mul=mul)
     _emit_report(report, config)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -210,14 +215,18 @@ def cmd_normalize(table_file: str, out: str | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NORMALIZE
     out_path = Path(out) if out else Path(table_file).with_suffix(".cert.json")
-    out_path.write_text(json.dumps(cert.to_json(), sort_keys=True) + "\n")
+    try:
+        out_path.write_text(json.dumps(cert.to_json(), sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write certificate: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"certificate written to {out_path}")
     return EXIT_OK
 
 
 def _load_nf(source: str, rng) -> OrthoNF:
     if source == "random":
-        return random_nf(rng, exp_bound=3)
+        return random_nf(rng)
     return OrthoNF.from_json(_load_json(source))
 
 
@@ -232,10 +241,14 @@ def cmd_twist(s1: str, s2: str, t: str, config: RunConfig,
         print(f"error: cannot read normal form: {exc}", file=sys.stderr)
         return EXIT_PARSE
     table = twist(yang_table(), nf1, nf2, nf3)
-    Path(out).write_text(json.dumps(table.to_json(), sort_keys=True) + "\n")
     triple = EquivCertificate(nf1, nf2, nf3)
     triple_path = Path(triple_out) if triple_out else Path(out).with_suffix(".triple.json")
-    triple_path.write_text(json.dumps(triple.to_json(), sort_keys=True) + "\n")
+    try:
+        Path(out).write_text(json.dumps(table.to_json(), sort_keys=True) + "\n")
+        triple_path.write_text(json.dumps(triple.to_json(), sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"twisted table written to {out}; triple written to {triple_path}")
     return EXIT_OK
 
@@ -266,7 +279,11 @@ def cmd_hadamard(tseq_file: str | None, search: int | None,
     matrix = sequences.goethals_seidel(a, b, c, d)
     verified = sequences.is_hadamard(matrix)
     out_path = Path(out) if out else Path(f"hadamard_{4 * n}.txt")
-    out_path.write_text(sequences.format_hadamard(matrix, [n] * 4, verified))
+    try:
+        out_path.write_text(sequences.format_hadamard(matrix, [n] * 4, verified))
+    except OSError as exc:
+        print(f"error: cannot write matrix: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"order-{4 * n} matrix written to {out_path} (verified={verified})")
     return EXIT_OK if verified else EXIT_VERIFY_FAILED
 
@@ -282,7 +299,7 @@ def cmd_compose(x_file: str, y_file: str, config: RunConfig) -> int:
     nx = sequences.quad_norm(xq)
     ny = sequences.quad_norm(yq)
     product = nx * ny
-    nz = p * p.conj() + q * q.conj() + r * r.conj() + s * s.conj()
+    nz = norm(OctonionElt(p, q, r, s))
     payload = {
         "p": p.to_json(), "q": q.to_json(), "r": r.to_json(), "s": s.to_json(),
         "norm_x": nx.to_json(), "norm_y": ny.to_json(),
@@ -313,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=200,
                         help="random trials per identity in verify; normalize "
                              "proves the Lagrange identity exactly and ignores it")
-    parser.add_argument("--degree-bound", type=int, default=3)
-    parser.add_argument("--exp-bound", type=int, default=3)
+    parser.add_argument("--degree-bound", type=int, default=3,
+                        help="exponent bound of verify's random elements")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,8 +364,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     config = RunConfig(seed=args.seed, trials=args.trials,
-                       degree_bound=args.degree_bound, exp_bound=args.exp_bound,
-                       output_format=args.format)
+                       degree_bound=args.degree_bound, output_format=args.format)
     if args.command == "verify":
         return cmd_verify(config)
     if args.command == "normalize":

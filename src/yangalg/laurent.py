@@ -8,7 +8,6 @@ are immutable and kept in canonical form, so ``==`` is mathematical equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -141,21 +140,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            u = self.as_unit()
-            if u is None:
-                raise ValueError("only units ±z^k can be raised to negative powers")
-            return (u ** n).to_poly()
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def conj(self) -> LaurentPoly:
         """The conjugate f(z^-1)."""
         if not self.coeffs:
@@ -186,20 +170,6 @@ class LaurentPoly:
         h = divexact(anti, Z_MINUS_ZINV)
         g = self - h * Z
         return g, h
-
-    def to_t_basis(self) -> TPoly:
-        """Rewrite a symmetric polynomial as a polynomial in t = z + z^-1,
-        using q_0 = 2, q_1 = t, q_k = t*q_{k-1} - q_{k-2} for z^k + z^-k."""
-        if not self.is_symmetric():
-            raise ValueError("only symmetric polynomials lie in Z[z + z^-1]")
-        out = TPoly.const(self.constant_term())
-        q_prev, q_cur = TPoly.const(2), TPoly.t()
-        for k in range(1, self.hi + 1):
-            a = self.coeff(k)
-            if a:
-                out = out + q_cur * a
-            q_prev, q_cur = q_cur, q_cur * TPoly.t() - q_prev
-        return out
 
     def as_unit(self) -> UnitA | None:
         """Return this polynomial as ±z^k if it is one, else None.  The units
@@ -257,8 +227,8 @@ class UnitA:
     exp: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("unit sign must be +1 or -1")
+        if not _is_int(self.sign) or self.sign not in (1, -1):
+            raise ValueError("unit sign must be the integer +1 or -1")
 
     @classmethod
     def identity(cls) -> UnitA:
@@ -274,9 +244,6 @@ class UnitA:
     def __mul__(self, other: UnitA) -> UnitA:
         return UnitA(self.sign * other.sign, self.exp + other.exp)
 
-    def __pow__(self, n: int) -> UnitA:
-        return UnitA(self.sign if n % 2 else 1, self.exp * n)
-
     def to_json(self) -> dict:
         return {"sign": self.sign, "exp": self.exp}
 
@@ -284,110 +251,9 @@ class UnitA:
     def from_json(cls, data) -> UnitA:
         if not isinstance(data, dict) or set(data) != {"sign", "exp"}:
             raise ValueError("unit JSON must be {'sign': ±1, 'exp': k}")
-        if data["sign"] not in (1, -1) or not _is_int(data["exp"]):
-            raise ValueError("unit JSON fields out of range")
+        if not _is_int(data["exp"]):
+            raise ValueError("unit JSON exponent must be an integer")
         return cls(data["sign"], data["exp"])
-
-
-class TPoly:
-    """An element of Z[t], used as the coordinate ring A0 under t = z + z^-1.
-
-    Stored as a coefficient tuple indexed by degree, with no trailing zero.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int]):
-        r = len(coeffs)
-        while r and coeffs[r - 1] == 0:
-            r -= 1
-        object.__setattr__(self, "coeffs", tuple(coeffs[:r]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TPoly is immutable")
-
-    @classmethod
-    def const(cls, n: int) -> TPoly:
-        return cls((n,))
-
-    @classmethod
-    def t(cls) -> TPoly:
-        return cls((0, 1))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: TPoly) -> TPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TPoly(out)
-
-    def __neg__(self) -> TPoly:
-        return TPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: TPoly) -> TPoly:
-        return self + (-other)
-
-    def __mul__(self, other: int | TPoly) -> TPoly:
-        if isinstance(other, int):
-            return TPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return TPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return TPoly(out)
-
-    __rmul__ = __mul__
-
-    def to_laurent(self) -> LaurentPoly:
-        """Substitute t = z + z^-1, landing back in A0."""
-        t = LaurentPoly(-1, (1, 0, 1))
-        out = LaurentPoly.zero()
-        power = LaurentPoly.one()
-        for c in self.coeffs:
-            if c:
-                out = out + power * c
-            power = power * t
-        return out
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "t" if i == 1 else f"t^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"TPoly('{self}')"
 
 
 # Frequently used constants.
@@ -448,13 +314,6 @@ def random_poly(rng, degree_bound: int = 3, coeff_bound: int = 9) -> LaurentPoly
     coeffs = [rng.randint(-coeff_bound, coeff_bound)
               for _ in range(2 * degree_bound + 1)]
     return LaurentPoly(-degree_bound, coeffs)
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def _is_int(v) -> bool:

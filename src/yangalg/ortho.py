@@ -73,9 +73,6 @@ class OrthoNF:
         perm[i], perm[j] = perm[j], perm[i]
         return cls.from_perm(perm)
 
-    def is_identity(self) -> bool:
-        return self == OrthoNF.identity()
-
     def apply(self, x: OctonionElt) -> OctonionElt:
         out: list[LaurentPoly | None] = [None] * 4
         for i, c in enumerate(x.coords):
@@ -107,19 +104,6 @@ class OrthoNF:
         beta_inv = OrthoNF.from_perm(_inverse_perm(self.perm))
         sigma_inv = OrthoNF.sigma(tuple(x.conj() for x in self.u))
         return tau_inv.compose(beta_inv).compose(sigma_inv)
-
-    def to_matrix(self):
-        """Debugging export: the 8x8 matrix over Z[t] acting on the
-        Z[t]-basis (columns are the expanded images of basis elements).  The
-        normal form stays the primary representation."""
-        cols = []
-        for b in TBASIS:
-            img = self.apply(b)
-            split = [coord.split_A0() for coord in img.coords]
-            col = [g.to_t_basis() for g, _ in split] + [h.to_t_basis() for _, h in split]
-            cols.append(col)
-        # transpose: entry [i][j] is the i-th coordinate of the j-th image
-        return [[cols[j][i] for j in range(8)] for i in range(8)]
 
     def to_json(self) -> dict:
         return {
@@ -180,22 +164,15 @@ _PROBE = OctonionElt.from_coords((
 def recognize(m) -> OrthoNF:
     """Reconstruct the normal form of a norm-preserving A0-linear map.
 
-    ``m`` is either a callable on octonion elements or a sequence of the
-    eight images of the Z[t]-basis.  The basis images are probed: each
-    m(e_i) must be a unit times a basis vector, fixing the permutation and
-    the units; comparing m(z e_i) against z u e_i' and z^-1 u e_i' fixes each
-    conjugation bit.  Norm preservation is pre-checked on the images via the
-    polar form, and a callable is additionally spot-checked on one generic
-    element, since full linearity of a black box cannot be verified.
+    ``m`` is a callable on octonion elements.  The images of the Z[t]-basis
+    are probed: each m(e_i) must be a unit times a basis vector, fixing the
+    permutation and the units; comparing m(z e_i) against z u e_i' and
+    z^-1 u e_i' fixes each conjugation bit.  Norm preservation is pre-checked
+    on the images via the polar form, and the map is additionally
+    spot-checked on one generic element, since full linearity of a black box
+    cannot be verified.
     """
-    if callable(m):
-        images = [m(b) for b in TBASIS]
-        probe_fn = m
-    else:
-        images = list(m)
-        if len(images) != 8:
-            raise RecognitionError("need the eight images of the Z[t]-basis")
-        probe_fn = None
+    images = [m(b) for b in TBASIS]
 
     for i in range(8):
         for j in range(i, 8):
@@ -234,7 +211,7 @@ def recognize(m) -> OrthoNF:
     for i in range(8):
         if nf.apply(TBASIS[i]) != images[i]:
             raise RecognitionError(f"normal form disagrees with image of basis element {i}")
-    if probe_fn is not None and nf.apply(_PROBE) != probe_fn(_PROBE):
+    if nf.apply(_PROBE) != m(_PROBE):
         raise RecognitionError("map is not A0-linear (generic probe mismatch)")
     return nf
 

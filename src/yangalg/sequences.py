@@ -4,9 +4,11 @@ Integer sequences are encoded as Hall polynomials sum(a_k z^k); the shift-j
 nonperiodic autocorrelation is then the z^j coefficient of f f*.  A
 T-sequence is four 0/±1 sequences of common length n whose supports are
 disjoint and cover every position, with all nonzero-shift autocorrelations
-summing to zero, i.e. sum(f_k f_k*) = n.  Composing two quads through the
-Yang formulae multiplies these norm polynomials exactly; the assembled
-matrices are verified, never assumed.
+summing to zero, i.e. sum(f_k f_k*) = n.  That sum is Yang's norm
+``algebra.norm`` of the octonion with the four Hall polynomials as
+coordinates, so composing two quads through the Yang formulae multiplies
+these norm polynomials exactly; the assembled matrices are verified, never
+assumed.
 
 The Goethals-Seidel variant used here, with circulants A, B, C, D and the
 back-diagonal matrix R, is the block array
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .laurent import LaurentPoly
-from .algebra import OctonionElt, yang_mul
+from .algebra import OctonionElt, norm, yang_mul
 
 # Order-4 Hadamard matrix with all-ones first row, used to fold a disjoint
 # 0/±1 quad into four full ±1 sequences.
@@ -34,13 +36,6 @@ _H4 = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
 def hall_poly(s) -> LaurentPoly:
     """Encode a sequence as sum(s[k] * z^k)."""
     return LaurentPoly(0, tuple(s))
-
-
-def npaf(s, shift: int) -> int:
-    """Nonperiodic autocorrelation at a shift: the z^shift coefficient of
-    f f* for the Hall polynomial f."""
-    f = hall_poly(s)
-    return (f * f.conj()).coeff(shift)
 
 
 def _validate_quad_shape(q):
@@ -63,11 +58,7 @@ def is_t_sequence(q) -> bool:
     for k in range(n):
         if sum(1 for s in seqs if s[k] != 0) != 1:
             return False
-    total = LaurentPoly.zero()
-    for s in seqs:
-        f = hall_poly(s)
-        total = total + f * f.conj()
-    return total == LaurentPoly.const(n)
+    return quad_norm(seqs) == n
 
 
 def yang_compose(x, y):
@@ -86,13 +77,10 @@ def yang_compose(x, y):
 
 
 def quad_norm(q) -> LaurentPoly:
-    """The norm polynomial sum(f_k f_k*) of a quad."""
+    """The norm polynomial sum(f_k f_k*) of a quad: Yang's norm of the
+    octonion whose coordinates are the four Hall polynomials."""
     seqs, _ = _validate_quad_shape(q)
-    total = LaurentPoly.zero()
-    for s in seqs:
-        f = hall_poly(s)
-        total = total + f * f.conj()
-    return total
+    return norm(OctonionElt(*map(hall_poly, seqs)))
 
 
 def brute_force_tseq(n: int, limit: int | None = None):

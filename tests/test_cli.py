@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from yangalg import cli, multable
 from yangalg.algebra import OctonionElt, norm, yang_mul_with_sign_flip
 from yangalg.cli import RunConfig, main, run_verify
@@ -19,7 +21,7 @@ from yangalg.sequences import is_hadamard, parse_hadamard
 
 
 def small_config(**kw):
-    defaults = dict(seed=1, trials=20, degree_bound=2, exp_bound=2)
+    defaults = dict(seed=1, trials=20, degree_bound=2)
     defaults.update(kw)
     return RunConfig(**defaults)
 
@@ -59,6 +61,18 @@ def test_cmd_verify_exit_codes(capsys):
                           mul=yang_mul_with_sign_flip(0)) == cli.EXIT_VERIFY_FAILED
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", 0), ("--trials", -3),
+                                         ("--degree-bound", -1)])
+def test_verify_rejects_vacuous_sampling(flag, value, capsys):
+    # no trials, or only zero elements to sample, would pass every identity
+    assert main([flag, str(value), "verify"]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+    field = flag[2:].replace("-", "_")
+    assert cli.cmd_verify(small_config(**{field: value})) == cli.EXIT_PARSE
 
 
 def test_main_verify_roundtrip_bytes(capsys):
@@ -119,6 +133,39 @@ def test_twist_parse_error(tmp_path):
     out = tmp_path / "out.json"
     assert main(["twist", str(bad), "random", "random",
                  "--out", str(out)]) == cli.EXIT_PARSE
+
+
+def test_twist_rejects_boolean_unit_sign(tmp_path, capsys):
+    nf = OrthoNF.identity().to_json()
+    nf["u"][0] = {"sign": True, "exp": 0}
+    nf_file = tmp_path / "bool_sign.json"
+    nf_file.write_text(json.dumps(nf))
+    out = tmp_path / "out.json"
+    assert main(["twist", str(nf_file), "random", "random",
+                 "--out", str(out)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def _yang_table_file(tmp_path):
+    table_file = tmp_path / "yang.json"
+    table_file.write_text(json.dumps(yang_table().to_json()))
+    return table_file
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp, out: ["normalize", str(_yang_table_file(tmp)), "--out", out],
+    lambda tmp, out: ["twist", "random", "random", "random", "--out", out],
+    lambda tmp, out: ["--seed", "1", "twist", "random", "random", "random",
+                      "--out", str(tmp / "t.json"), "--triple-out", out],
+    lambda tmp, out: ["hadamard", "--search", "2", "--out", out],
+], ids=["normalize", "twist", "twist-triple", "hadamard"])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    out = str(tmp_path / "missing-dir" / "out.json")
+    assert main(argv(tmp_path, out)) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
 
 
 def test_normalize_parse_error(tmp_path):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangalg.laurent import LaurentPoly
 from yangalg.sequences import (
@@ -15,7 +16,6 @@ from yangalg.sequences import (
     hall_poly,
     is_hadamard,
     is_t_sequence,
-    npaf,
     parse_hadamard,
     parse_quad_line,
     quad_norm,
@@ -39,21 +39,62 @@ def _npaf_direct(s, j):
     return sum(s[k] * s[k + j] for k in range(len(s) - j)) if j < len(s) else 0
 
 
-def test_npaf_examples():
-    assert npaf((1, 1), 1) == 1
-    assert npaf((1, 1), 0) == 2
-    assert npaf((1, 0, -1), 2) == -1
+def _is_t_sequence_direct(q):
+    # 0/±1 entries, one nonzero per position, and zero summed nonperiodic
+    # autocorrelation at every nonzero shift (shift 0 then sums to n).
+    n = len(q[0])
+    if any(v not in (-1, 0, 1) for s in q for v in s):
+        return False
+    if any(sum(1 for s in q if s[k]) != 1 for k in range(n)):
+        return False
+    return all(sum(_npaf_direct(s, d) for s in q) == 0 for d in range(1, n))
 
 
-def test_npaf_matches_direct_sum():
-    rng = random.Random(60)
-    for _ in range(200):
-        n = rng.randint(1, 10)
-        s = tuple(rng.randint(-3, 3) for _ in range(n))
-        for j in range(-n - 2, n + 3):
-            assert npaf(s, j) == _npaf_direct(s, j)
-            assert npaf(s, j) == npaf(s, -j)
-        assert npaf(s, n) == 0 and npaf(s, n + 5) == 0
+def _quads_over(values, n):
+    for flat in itertools.product(values, repeat=4 * n):
+        yield tuple(flat[i * n:(i + 1) * n] for i in range(4))
+
+
+# Quads whose summed autocorrelation is the constant n although they are not
+# T-sequences: a ±2 entry, or overlapping supports that leave a gap.
+_NORM_N_NON_TSEQS = (
+    ((2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((0, 0, 0, 0), (0, 0, 0, -2), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)),
+    ((1, 0), (1, 0), (0, 0), (0, 0)),
+)
+
+
+def test_is_t_sequence_matches_direct_predicate():
+    for q in _NORM_N_NON_TSEQS:
+        n = len(q[0])
+        assert sum(_npaf_direct(s, 0) for s in q) == n
+        assert all(sum(_npaf_direct(s, d) for s in q) == 0 for d in range(1, n))
+        assert not is_t_sequence(q)
+    for n in (1, 2, 3, 4):
+        # every owner/sign assignment, as in the exhaustive search
+        hits = 0
+        for assignment in itertools.product(range(8), repeat=n):
+            seqs = [[0] * n for _ in range(4)]
+            for k, code in enumerate(assignment):
+                seqs[code % 4][k] = 1 if code < 4 else -1
+            quad = tuple(tuple(s) for s in seqs)
+            assert is_t_sequence(quad) == _is_t_sequence_direct(quad), quad
+            hits += is_t_sequence(quad)
+        assert hits == len(brute_force_tseq(n)) > 0
+    # ±2 entries at length 1; overlapping supports and gaps at length 2
+    for q in itertools.chain(_quads_over(range(-2, 3), 1), _quads_over((-1, 0, 1), 2)):
+        assert is_t_sequence(q) == _is_t_sequence_direct(q), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[st.tuples(*[st.integers(-3, 3)] * n)] * 4)))
+def test_quad_norm_matches_direct_autocorrelation(q):
+    n = len(q[0])
+    f = quad_norm(q)
+    for d in range(-n - 1, n + 2):
+        assert f.coeff(d) == sum(_npaf_direct(s, d) for s in q)
 
 
 def test_is_t_sequence():
@@ -142,7 +183,7 @@ def test_to_pm1_quad():
         n = len(quad[0])
         assert all(v in (1, -1) for s in folded for v in s)
         for shift in range(1, n):
-            assert sum(npaf(s, shift) for s in folded) == 0
+            assert sum(_npaf_direct(s, shift) for s in folded) == 0
     with pytest.raises(ValueError):
         to_pm1_quad(((1, 1), (0, 0), (0, 0), (0, 0)))
 
