@@ -242,15 +242,30 @@ def cmd_twist(s1: str, s2: str, t: str, config: RunConfig,
         return EXIT_PARSE
     table = twist(yang_table(), nf1, nf2, nf3)
     triple = EquivCertificate(nf1, nf2, nf3)
-    triple_path = Path(triple_out) if triple_out else Path(out).with_suffix(".triple.json")
+    out_path = Path(out)
+    triple_path = Path(triple_out) if triple_out else out_path.with_suffix(".triple.json")
     try:
-        Path(out).write_text(json.dumps(table.to_json(), sort_keys=True) + "\n")
-        triple_path.write_text(json.dumps(triple.to_json(), sort_keys=True) + "\n")
+        out_path.write_text(json.dumps(table.to_json(), sort_keys=True) + "\n")
+        try:
+            triple_path.write_text(json.dumps(triple.to_json(), sort_keys=True) + "\n")
+        except OSError:
+            # a table without its triple is half an output
+            out_path.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_PARSE
     print(f"twisted table written to {out}; triple written to {triple_path}")
     return EXIT_OK
+
+
+def _read_quad(path: str):
+    """The one quad of a quad file; more than one is an error rather than
+    a silent choice of the first."""
+    quads = sequences.read_quads(Path(path).read_text())
+    if len(quads) != 1:
+        raise ValueError(f"{path} holds {len(quads)} quads, expected one")
+    return quads[0]
 
 
 def cmd_hadamard(tseq_file: str | None, search: int | None,
@@ -267,7 +282,7 @@ def cmd_hadamard(tseq_file: str | None, search: int | None,
         quad = quads[0]
     else:
         try:
-            quad = sequences.read_quads(Path(tseq_file).read_text())[0]
+            quad = _read_quad(tseq_file)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read quad: {exc}", file=sys.stderr)
             return EXIT_PARSE
@@ -290,8 +305,8 @@ def cmd_hadamard(tseq_file: str | None, search: int | None,
 
 def cmd_compose(x_file: str, y_file: str, config: RunConfig) -> int:
     try:
-        xq = sequences.read_quads(Path(x_file).read_text())[0]
-        yq = sequences.read_quads(Path(y_file).read_text())[0]
+        xq = _read_quad(x_file)
+        yq = _read_quad(y_file)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read quad: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -70,3 +70,15 @@ def test_verify_workload_runs_traced(perfbench, tmp_path):
         tracer.uninstall()
     totals = tracer.totals([0])
     assert totals["algebra.yang_mul"][0] > 0 and totals["cli"][0] > 0
+
+
+def test_tseq_workload_checks_search_output(perfbench, tmp_path):
+    # building the workload runs the length-6 search and requires 12288
+    # distinct T-sequences; each op's check compares against that list
+    _spans, workloads = perfbench
+    workload = workloads.WORKLOADS["tseq"](1, tmp_path)
+    assert [workload.kind(i) for i in (0, 3)] == ["accept", "reject"]
+    for i in (0, 3):
+        assert workload.check(i, workload.run(i)) is None
+    for label, i, raw in workload.wrong_outputs():
+        assert workload.check(i, raw) is not None, label

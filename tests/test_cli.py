@@ -316,3 +316,26 @@ def test_compose_norm_report_values(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["norm_x"] == {"lo": 0, "coeffs": [2]}
     assert payload["norm_product"] == {"lo": 0, "coeffs": [4]}
+
+
+def test_twist_leaves_no_partial_output(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    assert main(["twist", "random", "random", "random", "--out", str(table),
+                 "--triple-out", str(tmp_path / "missing-dir" / "x.json")]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    lambda two, out: ["hadamard", two, "--out", out],
+    lambda two, out: ["--format", "json", "compose", two, two],
+], ids=["hadamard", "compose"])
+def test_quad_file_with_two_quads_exits_2(argv, tmp_path, capsys):
+    two = tmp_path / "two.txt"
+    two.write_text("1;0;0;0\n1,0;0,1;0,0;0,0\n")
+    out = tmp_path / "h.txt"
+    assert main(argv(str(two), str(out))) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "2 quads" in captured.err

@@ -142,22 +142,57 @@ def test_yang_compose_norm_multiplicative_random():
         assert total == quad_norm(x) * quad_norm(y)
 
 
-def _reference_tseqs(n):
-    # one-line-at-a-time enumeration over (owner, sign) per position
-    out = []
-    for assignment in itertools.product(range(8), repeat=n):
-        seqs = [[0] * n for _ in range(4)]
-        for k, code in enumerate(assignment):
-            seqs[code % 4][k] = 1 if code < 4 else -1
-        quad = tuple(tuple(s) for s in seqs)
-        if is_t_sequence(quad):
-            out.append(quad)
-    return out
+def _code_quad(assignment):
+    # one choice code 2*owner + (sign < 0) per position, as in the search
+    n = len(assignment)
+    seqs = [[0] * n for _ in range(4)]
+    for k, code in enumerate(assignment):
+        seqs[code // 2][k] = -1 if code % 2 else 1
+    return tuple(tuple(s) for s in seqs)
+
+
+def _code_key(quad):
+    return bytes(2 * j + (s[k] < 0)
+                 for k in range(len(quad[0])) for j, s in enumerate(quad) if s[k])
+
+
+def _reference_tseqs(n, predicate=is_t_sequence):
+    # one line at a time over all 8^n assignments, in lexicographic code order
+    quads = map(_code_quad, itertools.product(range(8), repeat=n))
+    return [q for q in quads if predicate(q)]
 
 
 def test_brute_force_matches_reference():
     for n in (1, 2, 3):
-        assert set(brute_force_tseq(n)) == set(_reference_tseqs(n))
+        assert brute_force_tseq(n) == _reference_tseqs(n)
+
+
+def test_brute_force_output_pinned_by_direct_oracle():
+    for n in (1, 2, 3, 4, 5):
+        expected = _reference_tseqs(n, _is_t_sequence_direct)
+        assert brute_force_tseq(n) == expected
+        for limit in (1, 2, 288, 289):
+            assert brute_force_tseq(n, limit=limit) == expected[:limit]
+    # at n = 5 the searched subtree, code 0 at position 0, holds 288 quads
+    assert len(expected) == 8 * 288
+    assert {_code_key(q)[0] for q in expected[:288]} == {0}
+    assert _code_key(expected[288])[0] == 1
+
+
+def test_brute_force_length_6_is_closed_under_signed_permutations():
+    found = brute_force_tseq(6)
+    keys = [_code_key(q) for q in found]
+    assert len(set(found)) == len(found) == 12288
+    assert keys == sorted(keys)
+    assert all(_is_t_sequence_direct(q) for q in found)
+    key_set = set(keys)
+    signed_perms = list(itertools.product(itertools.permutations(range(4)),
+                                          itertools.product((0, 1), repeat=4)))
+    assert len(signed_perms) == 384
+    for perm, negate in signed_perms:
+        image = bytes(2 * perm[c // 2] + (c % 2 ^ negate[c // 2]) for c in range(8))
+        table = bytes.maketrans(bytes(range(8)), image)
+        assert {k.translate(table) for k in keys} == key_set
 
 
 def test_brute_force_examples():
@@ -241,3 +276,21 @@ def test_hadamard_file_round_trip():
     meta, matrix = parse_hadamard(text)
     assert meta["order"] == 4 and meta["verified"] is True
     assert np.array_equal(matrix, h)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "[4]\n++\n+-\n",
+    '{"order": 2}\n',
+    '{"order": 2}\n+x\n+-\n',
+    '{"order": 2}\n+-+\n+-\n',
+    '{"order": 2}\n++\n+-\n--\n',
+    '{"order": 4}\n++\n+-\n',
+    '{"order": true}\n+\n',
+    '{}\n++\n+-\n',
+    "not json\n++\n+-\n",
+], ids=["empty", "meta-not-object", "no-rows", "bad-char", "ragged", "not-square",
+        "order-mismatch", "order-bool", "order-missing", "meta-not-json"])
+def test_parse_hadamard_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        parse_hadamard(text)
