@@ -19,6 +19,7 @@ from .laurent import (
     UnitA,
     factor_sphere_prime,
     random_poly,
+    sums_of_products,
 )
 
 _ZERO = LaurentPoly.zero()
@@ -154,20 +155,17 @@ def yang_mul_with_signs(x: OctonionElt, y: OctonionElt, signs) -> OctonionElt:
     ``signs == YANG_SIGNS`` gives the genuine product; flipping a single
     entry produces a faulty variant for mutation-testing the checks.
     """
-    # xs[False] holds the coordinates and xs[True] their conjugates, so each
+    # Operands 0-3 are the coordinates and 4-7 their conjugates, so each
     # coordinate is conjugated once per product, not once per term.
-    xs = (x.coords, tuple(c.conj() for c in x.coords))
-    ys = (y.coords, tuple(c.conj() for c in y.coords))
-    out = []
-    pos = 0
-    for row in _YANG_TERMS:
-        acc = _ZERO
-        for (_sign, i, ci, j, cj) in row:
-            term = xs[ci][i] * ys[cj][j]
-            acc = acc + (term if signs[pos] > 0 else -term)
-            pos += 1
-        out.append(acc)
-    return OctonionElt(*out)
+    signs = iter(signs)
+    rows = [[(1 if next(signs) > 0 else -1, i + 4 * ci, j + 4 * cj)
+             for (_sign, i, ci, j, cj) in row] for row in _YANG_TERMS]
+    return OctonionElt(*sums_of_products(_with_conj(x), _with_conj(y), rows))
+
+
+def _with_conj(x: OctonionElt) -> tuple[LaurentPoly, ...]:
+    """The four coordinates of x followed by their conjugates."""
+    return x.coords + tuple(c.conj() for c in x.coords)
 
 
 def yang_mul(x: OctonionElt, y: OctonionElt) -> OctonionElt:
@@ -214,20 +212,22 @@ def oct_conj(x: OctonionElt) -> OctonionElt:
     return OctonionElt(x.x0.conj(), -x.x1, -x.x2, -x.x3)
 
 
+# The one kernel row sum(fs[k] * gs[k]) over the four coordinates.
+_DOT = (tuple((1, k, k) for k in range(4)),)
+
+
 def norm(x: OctonionElt) -> LaurentPoly:
     """N(x) = sum of x_k x_k*, a symmetric polynomial; zero only at x = 0."""
-    out = _ZERO
-    for c in x.coords:
-        out = out + c * c.conj()
-    return out
+    return sums_of_products(x.coords, [c.conj() for c in x.coords], _DOT)[0]
 
 
 def polar_q(x: OctonionElt, y: OctonionElt) -> LaurentPoly:
-    """Polar form Q(x,y) = N(x+y) - N(x) - N(y) = sum(x_k* y_k + x_k y_k*)."""
-    out = _ZERO
-    for a, b in zip(x.coords, y.coords):
-        out = out + a.conj() * b + a * b.conj()
-    return out
+    """Polar form Q(x,y) = N(x+y) - N(x) - N(y) = sum(x_k* y_k + x_k y_k*).
+
+    The second half of the sum is the conjugate of the first, so it is
+    r + r* with r = sum(x_k* y_k)."""
+    r = sums_of_products([c.conj() for c in x.coords], y.coords, _DOT)[0]
+    return r + r.conj()
 
 
 def trace(x: OctonionElt) -> LaurentPoly:

@@ -286,11 +286,13 @@ def cmd_hadamard(tseq_file: str | None, search: int | None,
         except (OSError, ValueError) as exc:
             print(f"error: cannot read quad: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        if not sequences.is_t_sequence(quad):
-            print("error: input quad is not a T-sequence", file=sys.stderr)
-            return EXIT_NOT_TSEQ
     n = len(quad[0])
-    a, b, c, d = sequences.to_pm1_quad(quad)
+    try:
+        # to_pm1_quad proves the T-property itself, once per run
+        a, b, c, d = sequences.to_pm1_quad(quad)
+    except ValueError:
+        print("error: input quad is not a T-sequence", file=sys.stderr)
+        return EXIT_NOT_TSEQ
     matrix = sequences.goethals_seidel(a, b, c, d)
     verified = sequences.is_hadamard(matrix)
     out_path = Path(out) if out else Path(f"hadamard_{4 * n}.txt")

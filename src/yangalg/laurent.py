@@ -9,6 +9,7 @@ are immutable and kept in canonical form, so ``==`` is mathematical equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Sequence
 
 
@@ -28,18 +29,9 @@ class LaurentPoly:
     __slots__ = ("lo", "coeffs")
 
     def __init__(self, lo: int, coeffs: Sequence[int]):
-        l, r = 0, len(coeffs)
-        while l < r and coeffs[l] == 0:
-            l += 1
-            lo += 1
-        while l < r and coeffs[r - 1] == 0:
-            r -= 1
-        if l == r:
-            object.__setattr__(self, "lo", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "coeffs", tuple(coeffs[l:r]))
+        lo, coeffs = _trim(lo, coeffs)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -97,46 +89,43 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.lo + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.lo + i - lo] += c
-        return LaurentPoly(lo, out)
+        return _add_sub(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.lo, tuple(-c for c in self.coeffs))
+        return _canonical(self.lo, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return self + (-other)
+        if isinstance(other, int):
+            other = LaurentPoly.const(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return _add_sub(self, other, sub)
 
     def __rsub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return (-self) + other
+        if isinstance(other, int):
+            return _add_sub(LaurentPoly.const(other), self, sub)
+        return NotImplemented
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
             if other == 0:
-                return LaurentPoly.zero()
-            return LaurentPoly(self.lo, tuple(c * other for c in self.coeffs))
+                return _ZERO
+            return _canonical(self.lo, tuple(c * other for c in self.coeffs))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return LaurentPoly.zero()
+            return _ZERO
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return LaurentPoly(self.lo + other.lo, out)
+        # Z has no zero divisors, so the end coefficients a[0]*b[0] and
+        # a[-1]*b[-1] are nonzero and the product is already canonical.
+        return _canonical(self.lo + other.lo, tuple(out))
 
     __rmul__ = __mul__
 
@@ -144,7 +133,7 @@ class LaurentPoly:
         """The conjugate f(z^-1)."""
         if not self.coeffs:
             return self
-        return LaurentPoly(-self.hi, tuple(reversed(self.coeffs)))
+        return _canonical(-self.hi, self.coeffs[::-1])
 
     def is_symmetric(self) -> bool:
         """True iff f lies in the fixed subring A0, i.e. f == f.conj()."""
@@ -219,6 +208,54 @@ class LaurentPoly:
         return f"LaurentPoly('{self}')"
 
 
+_new = object.__new__
+_set_lo = LaurentPoly.lo.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def _canonical(lo: int, coeffs: tuple[int, ...]) -> LaurentPoly:
+    """Wrap a coefficient tuple that is already canonical (nonzero end
+    coefficients, or ``()`` with ``lo == 0``) without trimming it again."""
+    p = _new(LaurentPoly)
+    _set_lo(p, lo)
+    _set_coeffs(p, coeffs)
+    return p
+
+
+def _trim(lo: int, coeffs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The canonical ``(lo, coeffs)`` of a dense coefficient run: zero end
+    coefficients dropped, and ``(0, ())`` when nothing is left."""
+    l, r = 0, len(coeffs)
+    while l < r and coeffs[l] == 0:
+        l += 1
+    if l == r:
+        return 0, ()
+    while coeffs[r - 1] == 0:
+        r -= 1
+    return lo + l, tuple(coeffs[l:r])
+
+
+def _add_sub(f: LaurentPoly, g: LaurentPoly, op) -> LaurentPoly:
+    """f + g (``op`` is ``operator.add``) or f - g (``operator.sub``),
+    summed on one list.  Zeros inside are canonical, so only the ends are
+    trimmed."""
+    a, b = f.coeffs, g.coeffs
+    if not b:
+        return f
+    if not a:
+        return g if op is add else -g
+    lo = min(f.lo, g.lo)
+    out = [0] * (max(f.lo + len(a), g.lo + len(b)) - lo)
+    i = f.lo - lo
+    out[i:i + len(a)] = a
+    j = g.lo - lo
+    out[j:j + len(b)] = map(op, out[j:j + len(b)], b)
+    return _canonical(*_trim(lo, out))
+
+
+_ZERO = LaurentPoly(0, ())
+
+
 @dataclass(frozen=True)
 class UnitA:
     """A unit of A, i.e. sign * z^exp with sign in {+1, -1}."""
@@ -288,6 +325,104 @@ def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if any(fc):
         raise ValueError("not divisible")
     return LaurentPoly(f.lo - g.lo, q)
+
+
+def sums_of_products(fs: Sequence[LaurentPoly], gs: Sequence[LaurentPoly],
+                     rows) -> list[LaurentPoly]:
+    """For each row of ``(sign, i, j)`` terms, the polynomial
+    ``sum(sign * fs[i] * gs[j])``, computed exactly by Kronecker substitution.
+
+    Substituting z -> 2^k turns polynomials into integers and their products
+    into integer products.  Each input f is packed once into one integer:
+    its coefficients summed at 2^k by Horner's rule (signed), shifted left
+    by k bits for each power of z that f.lo lies above the lowest ``lo`` of
+    its side (``fs`` or ``gs``).  Every product of a packed pair is then
+    shifted to the same lowest exponent, so a row is one integer sum of
+    signed products, and it is unpacked once into balanced k-bit digits,
+    which are its coefficients.  A sign may be any integer; the callers
+    use +1 and -1.
+
+    The digit width makes this exact for inputs of any size: a coefficient
+    of f*g sums at most min(len f, len g) products of one coefficient of each,
+    so every coefficient of a row is bounded in absolute value by the row's
+    ``sum(|sign| * min(len f, len g) * max|f| * max|g|)``.  With ``bound`` the
+    largest of these and ``k = bound.bit_length() + 1``, every coefficient
+    lies strictly between -2^(k-1) and 2^(k-1), so each is one balanced
+    digit and no carry crosses into the next.
+
+    >>> f = LaurentPoly(-1, (1, 2))      # z^-1 + 2
+    >>> g = LaurentPoly(0, (3, -1))      # 3 - z
+    >>> sums_of_products([f], [g, f], [[(1, 0, 0), (-1, 0, 1)], []])
+    [LaurentPoly('-2z + 1 - z^-1 - z^-2'), LaurentPoly('0')]
+    """
+    fc, fm, flo = _operands(fs)
+    gc, gm, glo = _operands(gs)
+    bound = 0
+    for row in rows:
+        b = 0
+        for s, i, j in row:
+            b += abs(s) * min(len(fc[i]), len(gc[j])) * fm[i] * gm[j]
+        if b > bound:
+            bound = b
+    k = bound.bit_length() + 1
+    fp = [_pack(c, k) << k * (f.lo - flo) if c else 0 for f, c in zip(fs, fc)]
+    gp = [_pack(c, k) << k * (g.lo - glo) if c else 0 for g, c in zip(gs, gc)]
+    out = []
+    for row in rows:
+        v = 0
+        for s, i, j in row:
+            v += s * fp[i] * gp[j]
+        out.append(_unpack(v, k, flo + glo))
+    return out
+
+
+def _operands(polys: Sequence[LaurentPoly]) -> tuple[list, list, int]:
+    """One side of the kernel's input: each operand's coefficient tuple and
+    largest absolute coefficient, and the lowest ``lo`` of the nonzero
+    operands (0 if there are none)."""
+    cs, ms, lo = [], [], None
+    for f in polys:
+        c = f.coeffs
+        cs.append(c)
+        if c:
+            ms.append(max(max(c), -min(c)))
+            if lo is None or f.lo < lo:
+                lo = f.lo
+        else:
+            ms.append(0)
+    return cs, ms, 0 if lo is None else lo
+
+
+def _pack(coeffs: tuple[int, ...], k: int) -> int:
+    """The value at z = 2^k of the polynomial with these coefficients."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int, lo: int) -> LaurentPoly:
+    """The polynomial whose coefficients, each of absolute value below
+    2^(k-1), are the balanced k-bit digits of ``v``, the lowest at z^lo.
+
+    Whole zero digits at the bottom are skipped at once (``tz // k`` of
+    them, tz the number of trailing zero bits); then each digit is the low
+    k bits taken as a signed value, and subtracting it leaves an exact
+    multiple of 2^k, so the loop ends, on a nonzero digit, when v is 0."""
+    if not v:
+        return _ZERO
+    skip = ((v & -v).bit_length() - 1) // k
+    v >>= k * skip
+    half, base = 1 << (k - 1), 1 << k
+    mask = base - 1
+    digits = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        v = (v - d) >> k
+    return _canonical(lo + skip, tuple(digits))
 
 
 def factor_sphere_prime(f: LaurentPoly) -> UnitA:

@@ -14,6 +14,8 @@ from yangalg.laurent import (
     random_poly,
 )
 from yangalg.algebra import (
+    _YANG_TERMS,
+    YANG_SIGNS,
     OctonionElt,
     QuaternionElt,
     cd_oct_mul,
@@ -285,6 +287,42 @@ def test_sign_flip_breaks_lagrange():
         norm(bad(x, y)) != norm(x) * norm(y)
         for x, y in (rand_pair(rng) for _ in range(50))
     )
+
+
+def _plain_yang(x, y, signs):
+    """``_YANG_TERMS`` with the given signs, summed with LaurentPoly's own
+    ``*``, ``+`` and unary ``-`` (the reference for the product kernel)."""
+    xs = (x.coords, tuple(c.conj() for c in x.coords))
+    ys = (y.coords, tuple(c.conj() for c in y.coords))
+    signs = iter(signs)
+    out = []
+    for row in _YANG_TERMS:
+        acc = LaurentPoly.zero()
+        for (_sign, i, ci, j, cj) in row:
+            term = xs[ci][i] * ys[cj][j]
+            acc = acc + (term if next(signs) > 0 else -term)
+        out.append(acc)
+    return OctonionElt(*out)
+
+
+def test_kernel_products_match_plain_ops():
+    rng = random.Random(30)
+    pairs = [rand_pair(rng, d, c) for d, c in ((0, 1), (1, 3), (3, 9), (2, 2**70))]
+    pairs += [(ZERO, E(1)), (Z * E(2), LaurentPoly.term(-1, -4) * E(3)),
+              (E(0) + Z_MINUS_ZINV * E(3), random_oct(rng, 4, 2**64))]
+    for x, y in pairs:
+        assert yang_mul(x, y) == _plain_yang(x, y, YANG_SIGNS)
+        for k in range(16):
+            signs = list(YANG_SIGNS)
+            signs[k] = -signs[k]
+            assert yang_mul_with_sign_flip(k)(x, y) == _plain_yang(x, y, signs), k
+        plain_norm = LaurentPoly.zero()
+        plain_polar = LaurentPoly.zero()
+        for a, b in zip(x.coords, y.coords):
+            plain_norm = plain_norm + a * a.conj()
+            plain_polar = plain_polar + a.conj() * b + a * b.conj()
+        assert norm(x) == plain_norm
+        assert polar_q(x, y) == plain_polar
 
 
 def test_octonion_json_round_trip():

@@ -286,6 +286,34 @@ def test_hadamard_error_paths(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "w.txt")]) == cli.EXIT_SEARCH_EXHAUSTED
 
 
+def test_hadamard_proves_t_property_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = cli.sequences.is_t_sequence
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(cli.sequences, "is_t_sequence", counting)
+    quad_file = tmp_path / "q.txt"
+    quad_file.write_text("1,1,0,0,0;0,0,1,-1,0;0,0,0,0,1;0,0,0,0,0\n")
+    out = tmp_path / "h20.txt"
+    assert main(["hadamard", str(quad_file), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert is_hadamard(parse_hadamard(out.read_text())[1])
+    capsys.readouterr()
+
+    # one sign flipped: still exit 5 with the same single line, no matrix
+    quad_file.write_text("1,1,0,0,0;0,0,-1,-1,0;0,0,0,0,1;0,0,0,0,0\n")
+    flipped = tmp_path / "flipped.txt"
+    calls.clear()
+    assert main(["hadamard", str(quad_file), "--out", str(flipped)]) == cli.EXIT_NOT_TSEQ
+    assert len(calls) == 1 and not flipped.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input quad is not a T-sequence\n"
+
+
 def test_compose(tmp_path, capsys):
     x_file = tmp_path / "x.txt"
     y_file = tmp_path / "y.txt"

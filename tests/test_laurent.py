@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from yangalg.laurent import (
     SPHERE_PRIME_NORM,
@@ -14,6 +16,7 @@ from yangalg.laurent import (
     divexact,
     factor_sphere_prime,
     random_poly,
+    sums_of_products,
 )
 
 P = LaurentPoly
@@ -21,6 +24,41 @@ P = LaurentPoly
 
 def lp(lo, *coeffs):
     return P(lo, coeffs)
+
+
+# Polynomials for the property tests: exponents from -8 up to 15, small
+# coefficients (zeros among them) mixed with ones beyond 2^63.
+BIG = 2 ** 63
+coeffs = st.one_of(st.integers(-3, 3), st.integers(BIG, 4 * BIG),
+                   st.integers(-4 * BIG, -BIG))
+polys = st.builds(P, st.integers(-8, 8), st.lists(coeffs, max_size=8))
+
+_z = sympy.Symbol("z")
+SHIFT = 32  # z^SHIFT * f has no negative powers for any generated f
+
+
+def sym(f: P, shift: int = SHIFT) -> sympy.Poly:
+    """z^shift * f as a sympy polynomial over ZZ, the independent oracle."""
+    return sympy.Poly.from_dict({(f.lo + i + shift,): c for i, c in enumerate(f.coeffs) if c},
+                                _z, domain=sympy.ZZ)
+
+
+def sym_conj(f: P) -> sympy.Poly:
+    """z^SHIFT * f(1/z), computed by sympy from z^SHIFT * f."""
+    return sympy.Poly(sympy.expand(_z ** (2 * SHIFT) * sym(f).as_expr().subs(_z, 1 / _z)),
+                      _z, domain=sympy.ZZ)
+
+
+def assert_canonical(r):
+    """Nonzero end coefficients, zero exactly (0, ()), and nothing the
+    constructor would trim."""
+    assert isinstance(r, P) and type(r.coeffs) is tuple
+    if r.coeffs:
+        assert r.coeffs[0] != 0 and r.coeffs[-1] != 0
+    else:
+        assert r.lo == 0
+    rebuilt = P(r.lo, r.coeffs)
+    assert (rebuilt.lo, rebuilt.coeffs) == (r.lo, r.coeffs)
 
 
 def test_canonical_form():
@@ -146,27 +184,60 @@ def test_factor_sphere_prime_round_trip():
         assert factor_sphere_prime(f) == u
 
 
-def test_ring_axioms():
-    rng = random.Random(5)
-    for _ in range(300):
-        f = random_poly(rng, 4, 9)
-        g = random_poly(rng, 4, 9)
-        h = random_poly(rng, 4, 9)
-        assert (f + g) + h == f + (g + h)
-        assert f + g == g + f
-        assert (f * g) * h == f * (g * h)
-        assert f * g == g * f
-        assert f * (g + h) == f * g + f * h
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, polys)
+def test_ring_axioms(f, g, h):
+    assert sym(f + g) == sym(f) + sym(g)
+    assert sym(f - g) == sym(f) - sym(g)
+    assert sym(-f) == -sym(f)
+    assert sym(f * g, 2 * SHIFT) == sym(f) * sym(g)
+    assert (f + g) + h == f + (g + h)
+    assert f + g == g + f
+    assert f + P.zero() == f and f - f == P.zero() and f + (-f) == P.zero()
+    assert (f * g) * h == f * (g * h)
+    assert f * g == g * f
+    assert f * P.one() == f and f * P.zero() == P.zero()
+    assert f * (g + h) == f * g + f * h
 
 
-def test_conj_is_ring_involution():
-    rng = random.Random(6)
-    for _ in range(300):
-        f = random_poly(rng, 5, 9)
-        g = random_poly(rng, 5, 9)
-        assert (f * g).conj() == f.conj() * g.conj()
-        assert (f + g).conj() == f.conj() + g.conj()
-        assert f.conj().conj() == f
+@settings(max_examples=150, deadline=None)
+@given(polys, polys)
+def test_conj_is_ring_involution(f, g):
+    assert sym(f.conj()) == sym_conj(f)
+    assert (f * g).conj() == f.conj() * g.conj()
+    assert (f + g).conj() == f.conj() + g.conj()
+    assert (-f).conj() == -f.conj()
+    assert f.conj().conj() == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys.filter(bool), polys)
+def test_divexact_matches_sympy(f, g, h):
+    assert divexact(f * g, g) == f
+    # h / g: sympy divides over QQ, so g divides h in A exactly when the
+    # remainder is zero and the quotient is integral
+    q, rem = sympy.div(sym(h, 2 * SHIFT).set_domain(sympy.QQ), sym(g).set_domain(sympy.QQ))
+    if rem.is_zero and all(c.is_integer for c in q.coeffs()):
+        assert sym(divexact(h, g)) == q.set_domain(sympy.ZZ)
+    else:
+        with pytest.raises(ValueError):
+            divexact(h, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, st.integers(-3, 3))
+def test_results_are_canonical(f, g, n):
+    low = P.term(f.coeffs[0], f.lo) if f else P.zero()
+    high = P.term(f.coeffs[-1], f.hi) if f else P.zero()
+    results = [f + g, f - g, g - f, -f, f * g, f.conj(),
+               f + n, n + f, f - n, n - f, f * n, n * f,
+               f - f, f + (-f), -f + f, (f + g) - g, g + (f - g),  # cancel to f or 0
+               f - low, f - high, low - f, -high + f, f - low - high]  # cancel ends
+    for r in results:
+        assert_canonical(r)
+    assert n - f == -(f - n) == P.const(n) - f and n + f == f + n == f + P.const(n)
+    if len(f.coeffs) > 1:
+        assert f - low - high == P(f.lo, (0,) + f.coeffs[1:-1] + (0,))
 
 
 def test_ct_of_self_product():
@@ -225,3 +296,55 @@ def test_str():
     assert str(P.zero()) == "0"
     assert str(lp(-2, -1, 0, 2, 0, -1)) == "-z^2 + 2 - z^-2"
     assert str(lp(0, 1, 1)) == "z + 1"
+
+
+def _plain_sums(fs, gs, rows):
+    """The kernel's rows summed with LaurentPoly's own *, + and unary -."""
+    out = []
+    for row in rows:
+        acc = P.zero()
+        for sign, i, j in row:
+            term = fs[i] * gs[j]
+            for _ in range(abs(sign)):
+                acc = acc + (term if sign > 0 else -term)
+        out.append(acc)
+    return out
+
+
+@st.composite
+def kernel_inputs(draw):
+    fs = draw(st.lists(polys, min_size=1, max_size=5))
+    gs = draw(st.lists(polys, min_size=1, max_size=5))
+    term = st.tuples(st.sampled_from((1, -1, 2, -3)), st.integers(0, len(fs) - 1),
+                     st.integers(0, len(gs) - 1))
+    rows = draw(st.lists(st.lists(term, max_size=6), max_size=4))
+    if rows and draw(st.booleans()):  # a row that cancels completely
+        rows.append(rows[0] + [(-s, i, j) for s, i, j in reversed(rows[0])])
+    return fs, gs, rows
+
+
+HUGE = lp(-3, 2 ** 80 + 1, 0, -(2 ** 64))
+SMALL = lp(5, 1, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+@example(([HUGE, SMALL], [SMALL, HUGE], [[(1, 0, 0), (-1, 1, 1), (1, 1, 0)]]))  # >2^63 and small
+@example(([P.zero(), SMALL], [HUGE, P.zero()], [[(1, 0, 0), (1, 1, 1)], [(-1, 0, 1)]]))  # zeros
+@example(([lp(-7, 1, 2), lp(4, 3)], [lp(-2, -1), lp(9, 1, 0, 1)],
+          [[(1, 0, 0), (1, 1, 1)], [], [(1, 0, 1), (-1, 0, 1)]]))  # mixed lo, empty, cancel
+@example(([lp(0, 1, 1)], [lp(0, 1, -1), lp(1, 1)],  # (1+z)(1-z) + (1+z)z: z^2 cancels
+          [[(1, 0, 0), (1, 0, 1)]]))
+@example(([lp(0, 3), lp(-1, 2, 2, 2)], [lp(2, -3), lp(4, -2, -2, -2)],  # a coefficient
+          [[(1, 0, 0)], [(1, 1, 1)], [(-1, 0, 0), (1, 1, 1)]]))          # equals the bound
+def test_sums_of_products_matches_oracles(inputs):
+    fs, gs, rows = inputs
+    got = sums_of_products(fs, gs, rows)
+    assert got == _plain_sums(fs, gs, rows)
+    assert len(got) == len(rows)
+    for row, r in zip(rows, got):
+        assert_canonical(r)
+        oracle = sympy.Poly(0, _z, domain=sympy.ZZ)
+        for sign, i, j in row:
+            oracle += sign * sym(fs[i]) * sym(gs[j])
+        assert sym(r, 2 * SHIFT) == oracle
