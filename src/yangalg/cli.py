@@ -1,9 +1,9 @@
 """Command-line front end: verification suites, table normalization,
 sequence composition, and Hadamard generation.
 
-Every command is one-shot and fully determined by its input files and the
-flags (seed, trials, degree bound), so reruns with the same flags produce
-byte-identical reports.  Exit codes:
+Every command is one-shot and fully determined by its input files and its
+flags (``--seed`` drives ``twist random`` only), so reruns with the same
+flags produce byte-identical reports.  Exit codes:
 
     0   success
     1   verification suite found a counterexample
@@ -22,6 +22,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from . import multable, sequences
@@ -32,22 +33,25 @@ from .algebra import (
     norm,
     oct_conj,
     polar_q,
-    random_oct,
     thakur_mul,
     trace,
     yang_mul,
 )
+from .laurent import LaurentPoly
 from .multable import (
+    PROOF_POINTS,
     EquivCertificate,
     LagrangeError,
     MulTable,
     NormalizationError,
     elduque_check,
     normalize,
+    point_products,
+    proof_point,
     twist,
     yang_table,
 )
-from .ortho import OrthoNF, TBASIS, random_nf
+from .ortho import _PROBE, OrthoNF, TBASIS, random_nf
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -62,113 +66,100 @@ EXIT_SEARCH_EXHAUSTED = 6
 class RunConfig:
     seed: int = 0
     trials: int = 200
-    degree_bound: int = 3
     output_format: str = "text"
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
 
 
 def _oct_pair_json(x: OctonionElt, y: OctonionElt) -> dict:
     return {"x": x.to_json(), "y": y.to_json()}
 
 
+# A fixed generic pair: no coordinate is zero or symmetric.
+_GENERIC_PAIR = (_PROBE, OctonionElt.from_coords(LaurentPoly(lo, cs) for lo, cs in (
+    (-1, (3, 0, 2)), (0, (-1, 4)), (-3, (2, 0, 0, 1)), (-1, (1, -2, 0, 7)))))
+_E0 = OctonionElt.e(0)
+_BASIS_PAIRS = tuple(product(enumerate(TBASIS), repeat=2))
+
+
 def run_verify(config: RunConfig, mul=None):
-    """Run the full identity suite; returns (all_passed, report dict).
+    """Prove the identity suite for ``mul``; returns (all_passed, report dict).
 
     ``mul`` substitutes the product under test (used to validate that the
-    suite catches faulty transcriptions); default is the Yang product.
+    suite catches faulty transcriptions); default is the Yang product.  It
+    must be A0-bilinear, as every sign-vector product is; the ``bilinear``
+    entry probes this at a generic pair against its table.  As ``trace`` and
+    ``oct_conj`` are A0-linear, ``norm`` quadratic and ``polar_q`` bilinear,
+    each identity is then A0-linear or quadratic in each argument, so it
+    holds everywhere iff it holds on its proof points: b_i for a linear
+    argument, b_i and b_i + b_j for a quadratic one.  The suite stops at the
+    first failing point, the counterexample.  Nothing is sampled: ``seed``
+    and ``trials`` are only echoed.
     """
-    if mul is None:
-        mul = yang_mul
-    rng = config.rng()
-    n, d = config.trials, config.degree_bound
     identities = {}
-    report = {
-        "seed": config.seed,
-        "trials": n,
-        "degree_bound": d,
-        "identities": identities,
-        "all_passed": True,
-    }
+    for name, points, failures in _proofs(mul or yang_mul):
+        witness = next(failures, None)
+        identities[name] = {"points": points, "passed": witness is None}
+        if witness is not None:
+            identities[name]["counterexample"] = witness
+            break
+    ok = witness is None
+    return ok, {"seed": config.seed, "trials": config.trials,
+                "identities": identities, "all_passed": ok}
 
-    def rand():
-        return random_oct(rng, d)
 
-    def run(name, check):
-        entry = {"trials": n, "passed": True}
-        identities[name] = entry
-        for _ in range(n):
-            witness = check()
-            if witness is not None:
-                entry["passed"] = False
-                entry["counterexample"] = witness
-                report["all_passed"] = False
-                return False
-        return True
+def _proofs(mul):
+    """(name, proof point count, counterexamples) per identity, in proof
+    order; each step's set-up runs only once the previous identity passed,
+    so a faulty product is rejected before its table is built."""
+    yield "cd_yang_iso_random", 1, _cd_iso_failures(mul, [_GENERIC_PAIR])
+    table = multable.table_of(mul)
+    c = table.c
+    yield "bilinear", 1, (_oct_pair_json(x, y) for x, y in [_GENERIC_PAIR]
+                          if mul(x, y) != table.eval(x, y))
+    yield "lagrange", len(PROOF_POINTS) ** 2, (
+        _oct_pair_json(*r.witness) for r in map(multable.check_lagrange, [table]) if not r.ok)
+    prod = point_products(table)
+    yield "alternative_laws", 2 * 8 * len(PROOF_POINTS), _alternative_failures(mul, prod)
+    yield "quadratic", len(PROOF_POINTS), (
+        {"x": x.to_json()} for p, x in zip(PROOF_POINTS, map(proof_point, PROOF_POINTS))
+        if not (prod(p, p) - trace(x) * x + norm(x) * _E0).is_zero())
+    yield "linearized_trace", 64, (
+        _oct_pair_json(x, y) for (i, x), (j, y) in _BASIS_PAIRS
+        if c[i][j] + c[j][i] != trace(x) * y + trace(y) * x - polar_q(x, y) * _E0)
+    yield "adjoint", 512, _adjoint_failures(mul, c)
+    yield "thakur_agreement", 64, (_oct_pair_json(x, y) for (i, x), (j, y) in _BASIS_PAIRS
+                                   if thakur_mul(x, y) != c[i][j])
+    yield "cd_yang_iso_basis", 64, _cd_iso_failures(mul, product(TBASIS, repeat=2))
+    failed = [name for name, ok in elduque_check(table).items() if not ok]
+    yield "elduque", 64, iter([{"checks": failed}] if failed else [])
 
-    def lagrange():
-        x, y = rand(), rand()
-        if norm(mul(x, y)) != norm(x) * norm(y):
-            return _oct_pair_json(x, y)
 
-    def alternative():
-        x, y = rand(), rand()
-        left = mul(x, mul(x, y)) == mul(mul(x, x), y)
-        right = mul(mul(x, y), y) == mul(x, mul(y, y))
-        if not (left and right):
-            return _oct_pair_json(x, y)
+def _cd_iso_failures(mul, pairs):
+    """iso(cd(x, y)) = mul(iso x, iso y), the Cayley-Dickson isomorphism."""
+    return (_oct_pair_json(x, y) for x, y in pairs
+            if iso_cd_to_yang(cd_oct_mul(x, y)) != mul(iso_cd_to_yang(x), iso_cd_to_yang(y)))
 
-    def quadratic():
-        x = rand()
-        if mul(x, x) - trace(x) * x + norm(x) * OctonionElt.e(0) != OctonionElt.zero():
-            return {"x": x.to_json()}
 
-    def linearized_trace():
-        x, y = rand(), rand()
-        lhs = mul(x, y) + mul(y, x)
-        rhs = trace(x) * y + trace(y) * x - polar_q(x, y) * OctonionElt.e(0)
-        if lhs != rhs:
-            return _oct_pair_json(x, y)
+def _alternative_failures(mul, prod):
+    """x(xy) = (xx)y and (yx)x = y(xx), quadratic in x and linear in y; a
+    witness names x and y as in x(xy) = (xx)y and (xy)y = x(yy)."""
+    for p in PROOF_POINTS:
+        x, xx = proof_point(p), prod(p, p)
+        for k, b in enumerate(TBASIS):
+            if mul(x, prod(p, (k,))) != mul(xx, b):
+                yield _oct_pair_json(x, b)
+            if mul(prod((k,), p), x) != mul(b, xx):
+                yield _oct_pair_json(b, x)
 
-    def adjoint():
-        x, y, w = rand(), rand(), rand()
-        q = polar_q(mul(x, y), w)
-        if polar_q(x, mul(w, oct_conj(y))) != q or polar_q(y, mul(oct_conj(x), w)) != q:
-            return {"x": x.to_json(), "y": y.to_json(), "z": w.to_json()}
 
-    def cd_iso():
-        x, y = rand(), rand()
-        if iso_cd_to_yang(cd_oct_mul(x, y)) != mul(iso_cd_to_yang(x), iso_cd_to_yang(y)):
-            return _oct_pair_json(x, y)
-
-    def thakur():
-        x, y = rand(), rand()
-        if thakur_mul(x, y) != mul(x, y):
-            return _oct_pair_json(x, y)
-
-    ok = (
-        run("lagrange", lagrange)
-        and run("alternative_laws", alternative)
-        and run("quadratic", quadratic)
-        and run("linearized_trace", linearized_trace)
-        and run("adjoint", adjoint)
-        and run("cd_yang_iso_random", cd_iso)
-        and run("thakur_agreement", thakur)
-    )
-
-    if ok:
-        basis_ok = all(
-            iso_cd_to_yang(cd_oct_mul(bi, bj))
-            == mul(iso_cd_to_yang(bi), iso_cd_to_yang(bj))
-            for bi in TBASIS for bj in TBASIS)
-        identities["cd_yang_iso_basis"] = {"trials": 64, "passed": basis_ok}
-        elduque = elduque_check(multable.table_of(mul))
-        identities["elduque"] = {"trials": 1, "passed": all(elduque.values()),
-                                 "checks": elduque}
-        if not basis_ok or not all(elduque.values()):
-            report["all_passed"] = False
-    return report["all_passed"], report
+def _adjoint_failures(mul, c):
+    """Q(xy, w) = Q(x, w y*) = Q(y, x* w) on basis triples; w is named z."""
+    conj = [oct_conj(b) for b in TBASIS]
+    w_yc = [[mul(w, yc) for yc in conj] for w in TBASIS]
+    xc_w = [[mul(xc, w) for w in TBASIS] for xc in conj]
+    for ((i, x), (j, y)), (k, w) in product(_BASIS_PAIRS, enumerate(TBASIS)):
+        q = polar_q(c[i][j], w)
+        if polar_q(x, w_yc[k][j]) != q or polar_q(y, xc_w[i][k]) != q:
+            yield {"x": x.to_json(), "y": y.to_json(), "z": w.to_json()}
 
 
 def _emit_report(report: dict, config: RunConfig):
@@ -177,25 +168,23 @@ def _emit_report(report: dict, config: RunConfig):
         return
     for name, entry in report.get("identities", {}).items():
         status = "PASS" if entry["passed"] else "FAIL"
-        print(f"{status} {name} ({entry['trials']} trials)")
+        print(f"{status} {name} ({entry['points']} proof points)")
         if not entry["passed"] and "counterexample" in entry:
             print(f"  counterexample: {json.dumps(entry['counterexample'], sort_keys=True)}")
     print("all passed" if report["all_passed"] else "FAILED")
 
 
 def cmd_verify(config: RunConfig, mul=None) -> int:
-    # With no trials, or only zero elements to sample, every identity would
-    # pass vacuously.
-    if config.trials < 1 or config.degree_bound < 0:
-        print("error: verify needs --trials >= 1 and --degree-bound >= 0", file=sys.stderr)
-        return EXIT_PARSE
     ok, report = run_verify(config, mul=mul)
     _emit_report(report, config)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def cmd_normalize(table_file: str, out: str | None = None) -> int:
@@ -232,7 +221,7 @@ def _load_nf(source: str, rng) -> OrthoNF:
 
 def cmd_twist(s1: str, s2: str, t: str, config: RunConfig,
               out: str, triple_out: str | None = None) -> int:
-    rng = config.rng()
+    rng = random.Random(config.seed)
     try:
         nf1 = _load_nf(s1, rng)
         nf2 = _load_nf(s2, rng)
@@ -345,14 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "T-sequence/Hadamard constructions.")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=200,
-                        help="random trials per identity in verify; normalize "
-                             "proves the Lagrange identity exactly and ignores it")
-    parser.add_argument("--degree-bound", type=int, default=3,
-                        help="exponent bound of verify's random elements")
+                        help="ignored and echoed in verify's report: verify and "
+                             "normalize prove their identities exactly")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", help="run the full identity suite")
+    sub.add_parser("verify", help="prove the identity suite on finite proof points")
 
     p_norm = sub.add_parser("normalize", help="normalize a table file to a certificate")
     p_norm.add_argument("table_file")
@@ -380,8 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(seed=args.seed, trials=args.trials,
-                       degree_bound=args.degree_bound, output_format=args.format)
+    config = RunConfig(seed=args.seed, trials=args.trials, output_format=args.format)
     if args.command == "verify":
         return cmd_verify(config)
     if args.command == "normalize":

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from operator import add, sub
 from typing import Sequence
 
+# The largest |exponent| a JSON file may hold: the work of products and twists
+# grows with the exponent span, and a span of 2**63 cannot even be allocated.
+EXPONENT_BOUND = 1024
+
 
 class LaurentPoly:
     """A Laurent polynomial, stored as the exponent of its lowest term plus a
@@ -181,6 +185,9 @@ class LaurentPoly:
             raise ValueError("polynomial JSON not in canonical form (zero end coefficient)")
         if not coeffs and lo != 0:
             raise ValueError("zero polynomial must have lo = 0")
+        if max(abs(lo), abs(lo + len(coeffs) - 1)) > EXPONENT_BOUND:
+            raise ValueError(f"polynomial JSON exponents must lie in "
+                             f"[-{EXPONENT_BOUND}, {EXPONENT_BOUND}]")
         return cls(lo, coeffs)
 
     def __str__(self) -> str:
@@ -288,8 +295,9 @@ class UnitA:
     def from_json(cls, data) -> UnitA:
         if not isinstance(data, dict) or set(data) != {"sign", "exp"}:
             raise ValueError("unit JSON must be {'sign': ±1, 'exp': k}")
-        if not _is_int(data["exp"]):
-            raise ValueError("unit JSON exponent must be an integer")
+        if not _is_int(data["exp"]) or abs(data["exp"]) > EXPONENT_BOUND:
+            raise ValueError(f"unit JSON exponent must be an integer in "
+                             f"[-{EXPONENT_BOUND}, {EXPONENT_BOUND}]")
         return cls(data["sign"], data["exp"])
 
 

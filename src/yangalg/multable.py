@@ -196,7 +196,11 @@ class LagrangeReport:
     message: str = "ok"
 
 
-def _point(idx: tuple[int, ...]) -> OctonionElt:
+# The proof points b_i and b_i + b_j (i < j) as index sets, basis first.
+PROOF_POINTS = tuple((i,) for i in range(8)) + tuple(combinations(range(8), 2))
+
+
+def proof_point(idx: tuple[int, ...]) -> OctonionElt:
     """The proof point sum(b_i for i in idx)."""
     return reduce(operator.add, (TBASIS[i] for i in idx))
 
@@ -205,14 +209,21 @@ def _point_label(idx: tuple[int, ...]) -> str:
     return "+".join(f"b{i}" for i in idx)
 
 
+def point_products(table: MulTable):
+    """p, q -> p * q for proof points, summed from table entries so that
+    ``eval`` is never called; each row p * b_k is built on first use."""
+    c = table.c
+    row = cache(lambda p: c[p[0]] if len(p) == 1 else [a + b for a, b in zip(c[p[0]], c[p[1]])])
+    return lambda p, q: reduce(operator.add, (row(p)[k] for k in q))
+
+
 @cache
 def _proof_pairs() -> tuple:
     """The 36 x 36 pairs of proof points b_i and b_i + b_j (i < j), as
     (x indices, y indices, N(x)N(y)), fewest basis terms first: the 64 basis
     pairs, then the pairs with one sum, then those with two."""
-    points = [(i,) for i in range(8)] + list(combinations(range(8), 2))
-    norms = {p: norm(_point(p)) for p in points}
-    pairs = sorted(product(points, repeat=2), key=lambda pq: len(pq[0]) + len(pq[1]))
+    norms = {p: norm(proof_point(p)) for p in PROOF_POINTS}
+    pairs = sorted(product(PROOF_POINTS, repeat=2), key=lambda pq: len(pq[0]) + len(pq[1]))
     return tuple((p, q, norms[p] * norms[q]) for p, q in pairs)
 
 
@@ -224,21 +235,15 @@ def check_lagrange(table: MulTable) -> LagrangeReport:
     q(b_i) and q(b_i + b_j), whose difference with q(b_i) + q(b_j) is the
     cross coefficient; so F vanishes identically iff it vanishes on the
     36 x 36 pairs of proof points b_i, b_i + b_j, and no division is needed.
-    The product of two proof points is a sum of at most four table entries,
-    so ``eval`` is never called.
 
     The 64 basis pairs are checked first; the first failing pair, which has
     the fewest basis terms, is the witness.
     """
-    c = table.c
-    # proof point p -> its products p * b_k, built on first use
-    rows = {(i,): row for i, row in enumerate(c)}
+    prod = point_products(table)
     for count, (p, q, expected) in enumerate(_proof_pairs(), 1):
-        if p not in rows:
-            rows[p] = [a + b for a, b in zip(c[p[0]], c[p[1]])]
-        if norm(reduce(operator.add, (rows[p][k] for k in q))) != expected:
+        if norm(prod(p, q)) != expected:
             return LagrangeReport(
-                False, count, (_point(p), _point(q)),
+                False, count, (proof_point(p), proof_point(q)),
                 f"norm not multiplicative at proof point pair "
                 f"({_point_label(p)}, {_point_label(q)})")
     return LagrangeReport(True, count)

@@ -6,34 +6,60 @@ import random
 import pytest
 
 from yangalg import cli, multable
-from yangalg.algebra import OctonionElt, norm, yang_mul_with_sign_flip
+from yangalg.algebra import (
+    OctonionElt,
+    cd_oct_mul,
+    iso_cd_to_yang,
+    norm,
+    oct_conj,
+    polar_q,
+    thakur_mul,
+    trace,
+    yang_mul,
+    yang_mul_with_sign_flip,
+)
 from yangalg.cli import RunConfig, main, run_verify
 from yangalg.multable import (
     EquivCertificate,
     LagrangeReport,
     MulTable,
+    elduque_check,
+    table_of,
     twist,
     verify_certificate,
     yang_table,
 )
-from yangalg.ortho import OrthoNF, random_nf
+from yangalg.ortho import TBASIS, OrthoNF, random_nf
 from yangalg.sequences import is_hadamard, parse_hadamard
 
 
 def small_config(**kw):
-    defaults = dict(seed=1, trials=20, degree_bound=2)
+    defaults = dict(seed=1, trials=20)
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+# The size of each identity's proof set; an identity proved on no point
+# would pass vacuously.
+POINTS = {
+    "cd_yang_iso_random": 1, "bilinear": 1, "lagrange": 36 * 36,
+    "alternative_laws": 2 * 36 * 8, "quadratic": 36, "linearized_trace": 64,
+    "adjoint": 512, "thakur_agreement": 64, "cd_yang_iso_basis": 64, "elduque": 64,
+}
 
 
 def test_run_verify_passes():
     ok, report = run_verify(small_config())
     assert ok and report["all_passed"]
-    names = set(report["identities"])
-    assert {"lagrange", "alternative_laws", "quadratic", "linearized_trace",
-            "adjoint", "cd_yang_iso_random", "cd_yang_iso_basis",
-            "thakur_agreement", "elduque"} == names
-    assert all(e["passed"] for e in report["identities"].values())
+    assert report["identities"] == {
+        name: {"points": n, "passed": True} for name, n in POINTS.items()}
+
+
+def test_verify_text_reports_proof_points(capsys):
+    assert cli.cmd_verify(small_config()) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"PASS {name} ({n} proof points)"
+                     for name, n in POINTS.items()] + ["all passed"]
 
 
 def test_run_verify_deterministic():
@@ -42,6 +68,18 @@ def test_run_verify_deterministic():
     assert a == b
     ok, c = run_verify(small_config(seed=2))
     assert ok and c["seed"] == 2
+
+
+def test_verify_json_ignores_seed_and_trials(capsys):
+    # nothing is sampled: the report differs only in the echoed seed
+    outputs = set()
+    for seed in range(5):
+        assert main(["--seed", str(seed), "--trials", "50", "--format", "json",
+                     "verify"]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("seed") == seed and report["trials"] == 50
+        outputs.add(json.dumps(report, sort_keys=True))
+    assert len(outputs) == 1
 
 
 def test_run_verify_catches_faulty_product():
@@ -63,24 +101,101 @@ def test_cmd_verify_exit_codes(capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("flag, value", [("--trials", 0), ("--trials", -3),
-                                         ("--degree-bound", -1)])
-def test_verify_rejects_vacuous_sampling(flag, value, capsys):
-    # no trials, or only zero elements to sample, would pass every identity
-    assert main([flag, str(value), "verify"]) == cli.EXIT_PARSE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
-    field = flag[2:].replace("-", "_")
-    assert cli.cmd_verify(small_config(**{field: value})) == cli.EXIT_PARSE
+def _fails_at(name, mul, witness):
+    """Whether identity ``name`` fails for ``mul`` at the counterexample,
+    computed directly through ``mul`` rather than through its table."""
+    if name == "elduque":
+        checks = elduque_check(table_of(mul))
+        return bool(witness["checks"]) and not any(checks[c] for c in witness["checks"])
+    x, y, w = (OctonionElt.from_json(witness[k]) if k in witness else None
+               for k in ("x", "y", "z"))
+    e0 = OctonionElt.e(0)
+    if name in ("cd_yang_iso_random", "cd_yang_iso_basis"):
+        return iso_cd_to_yang(cd_oct_mul(x, y)) != mul(iso_cd_to_yang(x), iso_cd_to_yang(y))
+    if name == "bilinear":
+        return mul(x, y) != table_of(mul).eval(x, y)
+    if name == "lagrange":
+        return norm(mul(x, y)) != norm(x) * norm(y)
+    if name == "alternative_laws":
+        return (mul(x, mul(x, y)) != mul(mul(x, x), y)
+                or mul(mul(x, y), y) != mul(x, mul(y, y)))
+    if name == "quadratic":
+        return not (mul(x, x) - trace(x) * x + norm(x) * e0).is_zero()
+    if name == "linearized_trace":
+        return mul(x, y) + mul(y, x) != trace(x) * y + trace(y) * x - polar_q(x, y) * e0
+    if name == "adjoint":
+        q = polar_q(mul(x, y), w)
+        return polar_q(x, mul(w, oct_conj(y))) != q or polar_q(y, mul(oct_conj(x), w)) != q
+    assert name == "thakur_agreement"
+    return thakur_mul(x, y) != mul(x, y)
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_verify_refutes_every_sign_flip(k, capsys):
+    mul = yang_mul_with_sign_flip(k)
+    assert cli.cmd_verify(small_config(output_format="json"), mul=mul) == cli.EXIT_VERIFY_FAILED
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is False
+    failed = [(n, e) for n, e in report["identities"].items() if not e["passed"]]
+    assert len(failed) == 1
+    name, entry = failed[0]
+    assert entry["points"] == POINTS[name]
+    assert _fails_at(name, mul, entry["counterexample"])
+
+
+def test_every_proof_refutes_sign_flips():
+    # each proof run on its own, past the generic pair that rejects first:
+    # every identity but the bilinearity probe refutes every single-sign
+    # fault, except that x0 y0 with its sign flipped keeps the adjoint law
+    for k in range(16):
+        mul = yang_mul_with_sign_flip(k)
+        refuted = set()
+        for name, points, failures in cli._proofs(mul):
+            assert points == POINTS[name]
+            witness = next(failures, None)
+            if witness is not None:
+                assert _fails_at(name, mul, witness), (k, name)
+                refuted.add(name)
+        expected = set(POINTS) - {"bilinear"} - ({"adjoint"} if k == 0 else set())
+        assert refuted == expected, k
+
+
+@pytest.mark.parametrize("k", [1, 6, 11])
+def test_alternative_proof_yields_every_failing_point(k):
+    # both laws on every proof point, against the products computed through
+    # mul itself rather than summed from table rows
+    mul = yang_mul_with_sign_flip(k)
+    expected, right_law_failures = [], 0
+    for p in multable.PROOF_POINTS:
+        x = multable.proof_point(p)
+        for b in TBASIS:
+            if mul(x, mul(x, b)) != mul(mul(x, x), b):
+                expected.append({"x": x.to_json(), "y": b.to_json()})
+            if mul(mul(b, x), x) != mul(b, mul(x, x)):
+                expected.append({"x": b.to_json(), "y": x.to_json()})
+                right_law_failures += 1
+    assert right_law_failures > 0
+    products = multable.point_products(table_of(mul))
+    assert list(cli._alternative_failures(mul, products)) == expected
+
+
+def test_verify_probes_bilinearity():
+    # right at the generic pair, wrong wherever the norm of x differs from
+    # the probe's: not A0-bilinear, so the finite proofs would not apply
+    probe_norm = norm(cli._GENERIC_PAIR[0])
+
+    def mul(x, y):
+        return yang_mul(x, y) + (norm(x) - probe_norm) * OctonionElt.e(0)
+
+    ok, report = run_verify(small_config(), mul=mul)
+    assert not ok and list(report["identities"]) == ["cd_yang_iso_random", "bilinear"]
+    assert _fails_at("bilinear", mul, report["identities"]["bilinear"]["counterexample"])
 
 
 def test_main_verify_roundtrip_bytes(capsys):
-    assert main(["--seed", "3", "--trials", "10", "--degree-bound", "2",
-                 "--format", "json", "verify"]) == 0
+    assert main(["--seed", "3", "--trials", "10", "--format", "json", "verify"]) == 0
     first = capsys.readouterr().out
-    assert main(["--seed", "3", "--trials", "10", "--degree-bound", "2",
-                 "--format", "json", "verify"]) == 0
+    assert main(["--seed", "3", "--trials", "10", "--format", "json", "verify"]) == 0
     second = capsys.readouterr().out
     assert first == second
     report = json.loads(first)
@@ -146,6 +261,49 @@ def test_twist_rejects_boolean_unit_sign(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["normalize", "twist"])
+def test_deeply_nested_json_exits_2(command, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    out = tmp_path / "out.json"
+    args = [str(deep)] * (1 if command == "normalize" else 3)
+    assert main([command, *args, "--out", str(out)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    assert list(tmp_path.iterdir()) == [deep]
+
+
+def _exits_2_on_exponent(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "[-1024, 1024]" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("poly", [{"lo": 2**63, "coeffs": [1]},
+                                  {"lo": 10**400, "coeffs": [1]},
+                                  {"lo": -1025, "coeffs": [1]},
+                                  {"lo": 1000, "coeffs": [1] * 30}],
+                         ids=["lo-2**63", "lo-10**400", "lo--1025", "hi-1029"])
+def test_normalize_huge_exponent_exits_2(poly, tmp_path, capsys):
+    table = yang_table().to_json()
+    table["c"][1][2]["x"][0] = poly
+    table_file = tmp_path / "huge.json"
+    table_file.write_text(json.dumps(table))
+    _exits_2_on_exponent(["normalize", str(table_file)], tmp_path, capsys)
+
+
+def test_twist_huge_unit_exponent_exits_2(tmp_path, capsys):
+    nf = OrthoNF.identity().to_json()
+    nf["u"][1]["exp"] = 10**400
+    nf_file = tmp_path / "huge.json"
+    nf_file.write_text(json.dumps(nf))
+    _exits_2_on_exponent(["twist", str(nf_file), "random", "random"], tmp_path, capsys)
 
 
 def _yang_table_file(tmp_path):
@@ -232,8 +390,7 @@ def test_normalize_ignores_sampling_flags(tmp_path):
     table_file.write_text(json.dumps(table.to_json()))
     certs = set()
     for k, flags in enumerate((["--trials", "0"], ["--trials", "200"],
-                               ["--degree-bound", "-1"], ["--seed", "1"],
-                               ["--seed", "2"])):
+                               ["--seed", "1"], ["--seed", "2"])):
         cert_file = tmp_path / f"cert-{k}.json"
         assert main(flags + ["normalize", str(table_file),
                              "--out", str(cert_file)]) == cli.EXIT_OK

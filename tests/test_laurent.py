@@ -292,6 +292,19 @@ def test_json_rejects_noncanonical():
         P.from_json({"lo": 0, "coeffs": [1], "extra": 1})
 
 
+def test_json_rejects_exponents_past_the_bound():
+    for lo, coeffs in ((-1024, [1]), (1024, [1]), (-1024, [1] * 2049)):
+        P.from_json({"lo": lo, "coeffs": coeffs})
+    for lo, coeffs in ((-1025, [1]), (1025, [1]), (1000, [1] * 26), (2**63, [1])):
+        with pytest.raises(ValueError, match="exponent"):
+            P.from_json({"lo": lo, "coeffs": coeffs})
+    for exp in (-1024, 1024):
+        assert UnitA.from_json({"sign": 1, "exp": exp}) == UnitA(1, exp)
+    for exp in (-1025, 1025, 10**400):
+        with pytest.raises(ValueError, match="exponent"):
+            UnitA.from_json({"sign": -1, "exp": exp})
+
+
 def test_str():
     assert str(P.zero()) == "0"
     assert str(lp(-2, -1, 0, 2, 0, -1)) == "-z^2 + 2 - z^-2"
