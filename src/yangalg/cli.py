@@ -229,12 +229,17 @@ def cmd_twist(s1: str, s2: str, t: str, config: RunConfig,
     except (OSError, ValueError) as exc:
         print(f"error: cannot read normal form: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    table = twist(yang_table(), nf1, nf2, nf3)
+    table = twist(yang_table(), nf1, nf2, nf3).to_json()
+    try:  # entries add up the units' exponents: emit only what reads back
+        MulTable.from_json(table)
+    except ValueError as exc:
+        print(f"error: twisted table is not readable: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     triple = EquivCertificate(nf1, nf2, nf3)
     out_path = Path(out)
     triple_path = Path(triple_out) if triple_out else out_path.with_suffix(".triple.json")
     try:
-        out_path.write_text(json.dumps(table.to_json(), sort_keys=True) + "\n")
+        out_path.write_text(json.dumps(table, sort_keys=True) + "\n")
         try:
             triple_path.write_text(json.dumps(triple.to_json(), sort_keys=True) + "\n")
         except OSError:

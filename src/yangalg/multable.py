@@ -13,8 +13,10 @@ all such multiplications are equivalent:
 3. ``align_triple_products`` rescales e3 so that e1 * e2 = e3, which forces
    the whole quaternion triple pattern.
 
-After the passes the table must equal Yang's entry for entry; the composed
-certificate (sigma1, sigma2, tau) replays the reduction in one twist.
+Each pass takes the certificate (sigma1, sigma2, tau) so far, reads through
+the twisted product only the entries it checks, and returns the extended
+certificate.  No pass builds a table: the one full table is the final replay,
+whose exact equality with the Yang table is the proof.
 
 The normalizer's precondition, the Lagrange identity N(x*y) = N(x)N(y), is
 proved exactly by ``check_lagrange``: the defect N(x*y) - N(x)N(y) is an
@@ -136,7 +138,7 @@ class EquivCertificate:
     """A twisting triple: x, y -> tau(sigma1(x) * sigma2(y)).
 
     ``normalize`` emits the triple that turns its input table into the Yang
-    table; the partial passes emit their own single-step triples.
+    table; each pass extends the triple it is given by its own step.
     """
 
     sigma1: OrthoNF
@@ -147,6 +149,9 @@ class EquivCertificate:
     def identity(cls) -> EquivCertificate:
         i = OrthoNF.identity()
         return cls(i, i, i)
+
+    def __iter__(self):
+        return iter((self.sigma1, self.sigma2, self.tau))
 
     def to_json(self) -> dict:
         return {
@@ -166,14 +171,22 @@ class EquivCertificate:
         )
 
 
-def twist(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
-    """Table of the twisted multiplication x, y -> t(table(s1 x, s2 y)).
+_NO_TWIST = EquivCertificate.identity()
+
+
+def twisted(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF):
+    """The twisted product x, y -> t(table.eval(s1 x, s2 y)); each product
+    and each factor's image is computed once.
 
     Twisting by orthogonal maps preserves the Lagrange property.
     """
-    left = [s1.apply(b) for b in TBASIS]
-    right = [s2.apply(b) for b in TBASIS]
-    return MulTable([[t.apply(table.eval(li, rj)) for rj in right] for li in left])
+    left, right = cache(s1.apply), cache(s2.apply)
+    return cache(lambda x, y: t.apply(table.eval(left(x), right(y))))
+
+
+def twist(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
+    """Table of the twisted product ``twisted(table, s1, s2, t)``."""
+    return table_of(twisted(table, s1, s2, t))
 
 
 def compose_twists(first: EquivCertificate, second: EquivCertificate) -> EquivCertificate:
@@ -249,121 +262,115 @@ def check_lagrange(table: MulTable) -> LagrangeReport:
     return LagrangeReport(True, count)
 
 
-def _require_identity(table: MulTable, context: str):
-    for j, b in enumerate(TBASIS):
-        if table.c[0][j] != b or table.c[j][0] != b:
+def _require_identity(prod, context: str):
+    for b in TBASIS:
+        if prod(_E0, b) != b or prod(b, _E0) != b:
             raise NormalizationError(f"{context}: e0 is not a two-sided identity")
 
 
-def kaplansky_unitize(table: MulTable) -> tuple[MulTable, EquivCertificate]:
-    """Manufacture e0 as the two-sided identity.
+def kaplansky_unitize(table: MulTable, cert: EquivCertificate = _NO_TWIST) -> EquivCertificate:
+    """Extend ``cert`` so that e0 becomes the two-sided identity.
 
-    The left and right translations L(y) = e0*y and R(x) = x*e0 preserve the
-    norm, hence are recognized as normal forms and inverted; the product
-    x*y -> R^-1(x) * L^-1(y) has identity element c = e0*e0, a unit-sphere
-    point, which a final conjugation by some sigma with sigma(e0) = c moves
-    onto e0.
+    The left and right translations L(y) = e0*y and R(x) = x*e0 of the
+    twisted product preserve the norm, hence are recognized as normal forms
+    and inverted; the product x*y -> R^-1(x) * L^-1(y) has identity element
+    c = e0*e0, a unit-sphere point, which a final conjugation by some sigma
+    with sigma(e0) = c moves onto e0.  Reads row and column 0 before and
+    after the step.
     """
+    prod = twisted(table, *cert)
     try:
-        l_nf = recognize(lambda v: table.eval(_E0, v))
-        r_nf = recognize(lambda v: table.eval(v, _E0))
+        l_nf = recognize(lambda v: prod(_E0, v))
+        r_nf = recognize(lambda v: prod(v, _E0))
     except RecognitionError as exc:
         raise NormalizationError(f"translation by e0 is not orthogonal: {exc}") from exc
 
-    c = table.c[0][0]
     try:
-        idx, a = decompose_unit(c)
+        idx, a = decompose_unit(prod(_E0, _E0))
     except ValueError as exc:
         raise NormalizationError(f"e0*e0 is not on the unit sphere: {exc}") from exc
     units = [UnitA.identity()] * 4
     units[idx] = a
     sigma = OrthoNF.sigma(units).compose(OrthoNF.transposition(0, idx))
 
-    cert = EquivCertificate(
-        sigma1=r_nf.invert().compose(sigma),
-        sigma2=l_nf.invert().compose(sigma),
-        tau=sigma.invert(),
-    )
-    out = twist(table, cert.sigma1, cert.sigma2, cert.tau)
-    _require_identity(out, "after unitization")
-    return out, cert
+    cert = compose_twists(cert, EquivCertificate(
+        r_nf.invert().compose(sigma), l_nf.invert().compose(sigma), sigma.invert()))
+    _require_identity(twisted(table, *cert), "after unitization")
+    return cert
 
 
-def straighten_scalar_action(table: MulTable) -> tuple[MulTable, EquivCertificate]:
-    """Make the left action of scalars A-linear: (a e0) * y = a y.
+def straighten_scalar_action(table: MulTable,
+                             cert: EquivCertificate = _NO_TWIST) -> EquivCertificate:
+    """Extend ``cert`` so that the left action of scalars is A-linear:
+    (a e0) * y = a y.
 
     For each i the product (z e0) * e_i is either z e_i or z^-1 e_i; the
     latter branch is repaired by conjugating the i-th coordinate.  The i = 0
     probe admits only the unconjugated branch.  The fix is the self-twist
-    x*y -> tau(tau(x) * tau(y)) by the collected conjugations.
+    x*y -> tau(tau(x) * tau(y)) by the collected conjugations.  Reads row
+    and column 0 and (z e0) * e_i before the step, and all of row 4 after it.
     """
-    _require_identity(table, "straightening")
+    prod = twisted(table, *cert)
+    _require_identity(prod, "straightening")
     ze0 = tbasis_elt(4)
-    if table.c[4][0] != ze0:
+    if prod(ze0, _E0) != ze0:
         raise NormalizationError("(z e0) * e0 is not z e0")
     eps = [False] * 4
     for i in range(1, 4):
-        probe = table.c[4][i]
-        if probe == _Z * OctonionElt.e(i):
-            eps[i] = False
-        elif probe == _ZINV * OctonionElt.e(i):
+        probe = prod(ze0, OctonionElt.e(i))
+        if probe == _ZINV * OctonionElt.e(i):
             eps[i] = True
-        else:
-            raise NormalizationError(
-                f"(z e0) * e{i} matches neither scalar-action branch")
+        elif probe != _Z * OctonionElt.e(i):
+            raise NormalizationError(f"(z e0) * e{i} matches neither scalar-action branch")
     tau = OrthoNF.tau(eps)
-    cert = EquivCertificate(tau, tau, tau)
-    out = twist(table, tau, tau, tau)
-    for j, b in enumerate(TBASIS):
-        if out.c[4][j] != _Z * b:
+    cert = compose_twists(cert, EquivCertificate(tau, tau, tau))
+    prod = twisted(table, *cert)
+    for b in TBASIS:
+        if prod(ze0, b) != _Z * b:
             raise NormalizationError("left scalar action is not A-linear after straightening")
-    _require_identity(out, "after straightening")
-    return out, cert
+    _require_identity(prod, "after straightening")
+    return cert
 
 
-def align_triple_products(table: MulTable) -> tuple[MulTable, EquivCertificate]:
-    """Rescale so that e1 * e2 = e3 and the full cyclic pattern
+def align_triple_products(table: MulTable,
+                          cert: EquivCertificate = _NO_TWIST) -> EquivCertificate:
+    """Extend ``cert`` so that e1 * e2 = e3 and the full cyclic pattern
     e_i e_j = e_k = -e_j e_i holds.
 
     e1 * e2 is necessarily of the form u e3; conjugating by
-    sigma_(1,1,1,u) removes the unit.
+    sigma_(1,1,1,u) removes the unit.  Reads e1 * e2 before the step and
+    the six triple products after it.
     """
-    probe = table.c[1][2]
     try:
-        idx, u = decompose_unit(probe)
+        idx, u = decompose_unit(twisted(table, *cert)(OctonionElt.e(1), OctonionElt.e(2)))
     except ValueError as exc:
         raise NormalizationError(f"e1*e2 is not on the unit sphere: {exc}") from exc
     if idx != 3:
         raise NormalizationError("e1*e2 is not a unit multiple of e3")
     sigma = OrthoNF.sigma((UnitA.identity(),) * 3 + (u,))
-    cert = EquivCertificate(sigma, sigma, sigma.invert())
-    out = twist(table, cert.sigma1, cert.sigma2, cert.tau)
+    cert = compose_twists(cert, EquivCertificate(sigma, sigma, sigma.invert()))
+    prod = twisted(table, *cert)
     for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        if out.c[i][j] != OctonionElt.e(k) or out.c[j][i] != -OctonionElt.e(k):
-            raise NormalizationError(
-                f"triple products not aligned at (e{i}, e{j})")
-    return out, cert
+        ei, ej, ek = OctonionElt.e(i), OctonionElt.e(j), OctonionElt.e(k)
+        if prod(ei, ej) != ek or prod(ej, ei) != -ek:
+            raise NormalizationError(f"triple products not aligned at (e{i}, e{j})")
+    return cert
 
 
 def normalize(table: MulTable) -> EquivCertificate:
     """Drive a Lagrange-valid table to the Yang table; return the certificate.
 
     Proves the Lagrange identity first (``check_lagrange``, raising
-    ``LagrangeError`` with the witness pair), chains the three passes, and
-    composes their partial twists into one triple whose replay is verified
-    against the Yang table exactly.
+    ``LagrangeError`` with the witness pair), then threads the certificate
+    through the three passes, which read only the twisted entries they
+    check.  The one full table is built by ``verify_certificate``, whose
+    exact replay to the Yang table is the proof.
     """
     report = check_lagrange(table)
     if not report.ok:
         raise LagrangeError(report)
-    t1, c1 = kaplansky_unitize(table)
-    t2, c2 = straighten_scalar_action(t1)
-    t3, c3 = align_triple_products(t2)
-    if t3 != yang_table():
-        raise NormalizationError(
-            "table passed all passes but does not equal the Yang table; "
-            "input is not Lagrange-valid or is corrupted")
-    cert = compose_twists(compose_twists(c1, c2), c3)
+    cert = align_triple_products(
+        table, straighten_scalar_action(table, kaplansky_unitize(table)))
     if not verify_certificate(table, cert):
         raise NormalizationError("composed certificate fails to replay to the Yang table")
     return cert
@@ -371,7 +378,7 @@ def normalize(table: MulTable) -> EquivCertificate:
 
 def verify_certificate(table: MulTable, cert: EquivCertificate) -> bool:
     """True iff twisting the table by the certificate gives the Yang table."""
-    return twist(table, cert.sigma1, cert.sigma2, cert.tau) == yang_table()
+    return twist(table, *cert) == yang_table()
 
 
 def elduque_check(table: MulTable) -> dict[str, bool]:

@@ -82,3 +82,21 @@ def test_tseq_workload_checks_search_output(perfbench, tmp_path):
         assert workload.check(i, workload.run(i)) is None
     for label, i, raw in workload.wrong_outputs():
         assert workload.check(i, raw) is not None, label
+
+
+def test_normalize_workload_runs_traced(perfbench, tmp_path):
+    spans, workloads = perfbench
+    workload = workloads.WORKLOADS["normalize"](1, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for i in (0, 3):  # one accepted op, one rejected op
+            with tracer.op(i, workload.kind(i)):
+                raw = workload.run(i)
+            assert workload.check(i, raw) is None
+    finally:
+        tracer.uninstall()
+    for label, i, raw in workload.wrong_outputs():
+        assert workload.check(i, raw) is not None, label
+    # the accepted op builds one full table: the certificate's replay
+    assert tracer.totals([0])["multable.twist"][0] == 1

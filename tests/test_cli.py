@@ -306,6 +306,25 @@ def test_twist_huge_unit_exponent_exits_2(tmp_path, capsys):
     _exits_2_on_exponent(["twist", str(nf_file), "random", "random"], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("exp, code", [(340, cli.EXIT_OK), (350, cli.EXIT_PARSE)])
+def test_twist_writes_only_tables_it_can_read_back(exp, code, tmp_path, capsys):
+    # every unit lies within the exponent bound, but the entries add up the
+    # three exponents: 3 * 350 + 2 = 1052 is past it, 3 * 340 + 2 = 1022 is not
+    nf = OrthoNF.identity().to_json()
+    nf["u"][0] = {"sign": 1, "exp": exp}
+    nf_file = tmp_path / "far.json"
+    nf_file.write_text(json.dumps(nf))
+    out = tmp_path / "out.json"
+    assert main(["twist", *[str(nf_file)] * 3, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        MulTable.from_json(json.loads(out.read_text()))
+        return
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "[-1024, 1024]" in captured.err
+    assert list(tmp_path.iterdir()) == [nf_file]
+
+
 def _yang_table_file(tmp_path):
     table_file = tmp_path / "yang.json"
     table_file.write_text(json.dumps(yang_table().to_json()))

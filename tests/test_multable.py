@@ -1,5 +1,6 @@
 """Tests for multiplication tables, twisting, and the normalizer."""
 
+import operator
 import random
 
 import pytest
@@ -18,9 +19,11 @@ from yangalg.algebra import (
     yang_mul,
     yang_mul_with_sign_flip,
 )
+from yangalg import multable
 from yangalg.multable import (
     EquivCertificate,
     LagrangeError,
+    LagrangeReport,
     MulTable,
     NormalizationError,
     align_triple_products,
@@ -46,10 +49,17 @@ def tau_k(k):
     return OrthoNF.tau(tuple(i == k for i in range(4)))
 
 
-def negated_entry_table(i=1, j=2) -> MulTable:
+def edited_yang(edits) -> MulTable:
+    """The Yang table with entry (i, j) replaced by f(entry) for each
+    (i, j): f in ``edits``."""
     entries = [list(row) for row in yang_table().c]
-    entries[i][j] = -entries[i][j]
+    for (i, j), f in edits.items():
+        entries[i][j] = f(entries[i][j])
     return MulTable(entries)
+
+
+def negated_entry_table(i=1, j=2) -> MulTable:
+    return edited_yang({(i, j): operator.neg})
 
 
 def test_yang_table_entries():
@@ -178,8 +188,8 @@ def test_check_lagrange_witness_is_a_basis_pair_when_one_fails():
 
 
 def test_kaplansky_on_yang_is_trivial():
-    out, cert = kaplansky_unitize(yang_table())
-    assert out == yang_table()
+    cert = kaplansky_unitize(yang_table())
+    assert twist(yang_table(), *cert) == yang_table()
     assert cert == EquivCertificate.identity()
 
 
@@ -188,34 +198,33 @@ def test_kaplansky_restores_identity():
     for _ in range(5):
         s1, s2 = random_nf(rng, 2), random_nf(rng, 2)
         tw = twist(yang_table(), s1, s2, IDENTITY_NF)
-        out, cert = kaplansky_unitize(tw)
+        out = twist(tw, *kaplansky_unitize(tw))
         for j, b in enumerate(TBASIS):
             assert out.c[0][j] == b
             assert out.c[j][0] == b
         assert out.c[0][0] == E(0)
-        replay = twist(tw, cert.sigma1, cert.sigma2, cert.tau)
-        assert replay == out
 
 
 def test_straighten_on_yang_is_trivial():
-    out, cert = straighten_scalar_action(yang_table())
-    assert out == yang_table()
+    cert = straighten_scalar_action(yang_table())
+    assert twist(yang_table(), *cert) == yang_table()
     assert cert == EquivCertificate.identity()
 
 
 def test_straighten_recovers_tau():
     t1 = tau_k(1)
     tw = twist(yang_table(), t1, t1, t1)
-    out, cert = straighten_scalar_action(tw)
+    cert = straighten_scalar_action(tw)
     assert cert == EquivCertificate(t1, t1, t1)
+    out = twist(tw, *cert)
     assert out == yang_table()
     for j, b in enumerate(TBASIS):
         assert out.c[4][j] == Z * b
 
 
 def test_align_on_yang_is_trivial():
-    out, cert = align_triple_products(yang_table())
-    assert out == yang_table()
+    cert = align_triple_products(yang_table())
+    assert twist(yang_table(), *cert) == yang_table()
     assert cert == EquivCertificate.identity()
 
 
@@ -223,10 +232,44 @@ def test_align_recovers_unit():
     u = UnitA(1, 1)
     sigma = OrthoNF.sigma((ID, ID, ID, u))
     tw = twist(yang_table(), sigma, sigma, sigma.invert())
-    out, cert = align_triple_products(tw)
+    out = twist(tw, *align_triple_products(tw))
     assert out.c[1][2] == E(3)
     assert out.c[2][1] == -E(3)
     assert out == yang_table()
+
+
+def test_passes_extend_the_certificate_they_are_given():
+    # a pass given (table, cert) returns cert composed with its own step on
+    # twist(table, *cert), the table it used to receive
+    rng = random.Random(50)
+    tw = twist(yang_table(), *(random_nf(rng, 2) for _ in range(3)))
+    c0 = EquivCertificate(*(random_nf(rng, 2) for _ in range(3)))
+    assert kaplansky_unitize(tw, c0) == compose_twists(c0, kaplansky_unitize(twist(tw, *c0)))
+    c1 = kaplansky_unitize(tw)
+    c2 = straighten_scalar_action(tw, c1)
+    assert c2 == compose_twists(c1, straighten_scalar_action(twist(tw, *c1)))
+    c3 = align_triple_products(tw, c2)
+    assert c3 == compose_twists(c2, align_triple_products(twist(tw, *c2)))
+    assert c3 == normalize(tw)
+
+
+def test_normalize_builds_one_table(monkeypatch):
+    calls = []
+    real = multable.twist
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(multable, "twist", counting)
+    rng = random.Random(51)
+    tw = real(yang_table(), *(random_nf(rng, 3) for _ in range(3)))
+    cert = normalize(tw)
+    assert len(calls) == 1 and calls[0] == (tw, *cert)
+    calls.clear()
+    with pytest.raises(LagrangeError):
+        normalize(negated_entry_table())
+    assert calls == []
 
 
 def test_normalize_yang_gives_identity_certificate():
@@ -294,15 +337,13 @@ def test_normalize_rejects_bad_table():
         normalize(MulTable.from_json(dict(bad.to_json(), lagrange_checked=True)))
     # behind the Lagrange gate, the passes must still reject the table
     with pytest.raises(NormalizationError):
-        t1, _ = kaplansky_unitize(bad)
-        t2, _ = straighten_scalar_action(t1)
-        align_triple_products(t2)
+        align_triple_products(bad, straighten_scalar_action(bad, kaplansky_unitize(bad)))
 
 
 def test_normalize_quadratic_identity_after_unitize():
     rng = random.Random(54)
     tw = twist(yang_table(), random_nf(rng, 2), random_nf(rng, 2), IDENTITY_NF)
-    out, _ = kaplansky_unitize(tw)
+    out = twist(tw, *kaplansky_unitize(tw))
     for _ in range(30):
         x = random_oct(rng, 2, 4)
         lhs = out.eval(x, x) - trace(x) * x + norm(x) * E(0)
@@ -366,3 +407,69 @@ def test_certificate_json_round_trip():
     assert EquivCertificate.from_json(cert.to_json()) == cert
     with pytest.raises(ValueError):
         EquivCertificate.from_json({"sigma1": cert.sigma1.to_json()})
+
+
+# -- every reachable NormalizationError message, one crafted table each -----
+# Every crafted table fails the Lagrange identity, so only a direct pass
+# call reaches the check.
+
+def doubled(e):
+    return e * 2
+
+
+@pytest.mark.parametrize("entry", [(0, 1), (2, 0), (0, 6), (7, 0)])
+def test_kaplansky_rejects_non_orthogonal_translation(entry):
+    with pytest.raises(NormalizationError,
+                       match=r"^translation by e0 is not orthogonal: "):
+        kaplansky_unitize(edited_yang({entry: doubled}))
+
+
+@pytest.mark.parametrize("entry", [(0, 3), (3, 0), (0, 5), (6, 0)])
+def test_straighten_rejects_non_unital_input(entry):
+    # a negated identity entry: the translations stay orthogonal
+    with pytest.raises(NormalizationError,
+                       match=r"^straightening: e0 is not a two-sided identity$"):
+        straighten_scalar_action(edited_yang({entry: operator.neg}))
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_straighten_rejects_unmatched_scalar_branch(i):
+    with pytest.raises(NormalizationError,
+                       match=rf"^\(z e0\) \* e{i} matches neither scalar-action branch$"):
+        straighten_scalar_action(edited_yang({(4, i): doubled}))
+
+
+@pytest.mark.parametrize("j", [4, 5, 6, 7])
+def test_straighten_rejects_non_linear_scalar_action(j):
+    # (z e0) * e_i on the right branch for i < 4, but wrong on z e_{j-4}
+    with pytest.raises(NormalizationError,
+                       match=r"^left scalar action is not A-linear after straightening$"):
+        straighten_scalar_action(edited_yang({(4, j): operator.neg}))
+
+
+def test_align_rejects_e1e2_off_the_unit_sphere():
+    with pytest.raises(NormalizationError, match=r"^e1\*e2 is not on the unit sphere: "):
+        align_triple_products(edited_yang({(1, 2): doubled}))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_align_rejects_e1e2_off_e3(k):
+    with pytest.raises(NormalizationError, match=r"^e1\*e2 is not a unit multiple of e3$"):
+        align_triple_products(edited_yang({(1, 2): lambda _e: E(k)}))
+
+
+@pytest.mark.parametrize("entry, pair", [
+    ((2, 1), "e1, e2"), ((2, 3), "e2, e3"), ((3, 2), "e2, e3"),
+    ((3, 1), "e3, e1"), ((1, 3), "e3, e1")])
+def test_align_rejects_misaligned_triple_products(entry, pair):
+    with pytest.raises(NormalizationError,
+                       match=rf"^triple products not aligned at \({pair}\)$"):
+        align_triple_products(edited_yang({entry: operator.neg}))
+
+
+def test_normalize_rejects_a_table_the_passes_accept(monkeypatch):
+    # an entry no pass reads: with the Lagrange proof forced open, the
+    # three passes succeed and only the comparison with Yang's table fails
+    monkeypatch.setattr(multable, "check_lagrange", lambda table: LagrangeReport(True, 0))
+    with pytest.raises(NormalizationError, match=r"Yang table"):
+        normalize(edited_yang({(5, 6): operator.neg}))
