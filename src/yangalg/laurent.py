@@ -4,6 +4,10 @@ The ring carries the conjugation involution f(z) -> f(z^-1), whose fixed
 subring A0 = Z[z + z^-1] is the scalar ring for everything built on top.
 Coefficients are Python ints, so repeated products never overflow; all values
 are immutable and kept in canonical form, so ``==`` is mathematical equality.
+
+``sums_of_products`` is the exact product kernel: Kronecker substitution
+z -> 2^k, with ``pack`` turning a polynomial into one integer and a digit
+width k that bounds every coefficient it must recover.
 """
 
 from __future__ import annotations
@@ -143,26 +147,27 @@ class LaurentPoly:
         """True iff f lies in the fixed subring A0, i.e. f == f.conj()."""
         return self == self.conj()
 
-    def eval_int(self, w: int) -> int:
-        """Evaluate at z = w for w in {1, -1}, the only integer points
-        compatible with the conjugation."""
-        if w == 1:
-            return sum(self.coeffs)
-        if w == -1:
-            return sum(c if (self.lo + i) % 2 == 0 else -c
-                       for i, c in enumerate(self.coeffs))
-        raise ValueError(f"evaluation point must be 1 or -1, got {w}")
-
     def split_A0(self) -> tuple[LaurentPoly, LaurentPoly]:
         """Decompose f = g + h*z with g, h symmetric (A = A0 + A0*z).
 
-        h is recovered as (f - f*)/(z - z^-1), which is always an exact
-        division, and g = f - h*z; both outputs land in A0 by construction.
+        h is the quotient (f - f*)/(z - z^-1) and g = f - h*z; both land in
+        A0 by construction.  The division is exact, since a = f - f* is
+        antisymmetric and so vanishes at z = 1 and z = -1.  It is solved
+        from the top: a spans [-d, d] and h spans [1 - d, d - 1], and the
+        coefficient of z^e in h*(z - z^-1) is h[e-1] - h[e+1], so
+        h[e-1] = a[e] + h[e+1], starting from h[d] = h[d+1] = 0.
         """
-        anti = self - self.conj()
-        h = divexact(anti, Z_MINUS_ZINV)
-        g = self - h * Z
-        return g, h
+        a = self - self.conj()
+        if not a.coeffs:
+            return self, _ZERO
+        c = a.coeffs
+        h = [0] * len(c)
+        for i in range(len(c) - 1, 1, -1):
+            h[i - 2] = c[i] + h[i]
+        # h's top coefficient is a's, and h is symmetric, so h (and h*z)
+        # is already canonical
+        h = tuple(h[:-2])
+        return self - _canonical(a.lo + 2, h), _canonical(a.lo + 1, h)
 
     def as_unit(self) -> UnitA | None:
         """Return this polynomial as ±z^k if it is one, else None.  The units
@@ -373,8 +378,8 @@ def sums_of_products(fs: Sequence[LaurentPoly], gs: Sequence[LaurentPoly],
         if b > bound:
             bound = b
     k = bound.bit_length() + 1
-    fp = [_pack(c, k) << k * (f.lo - flo) if c else 0 for f, c in zip(fs, fc)]
-    gp = [_pack(c, k) << k * (g.lo - glo) if c else 0 for g, c in zip(gs, gc)]
+    fp = [pack(f, k, flo) for f in fs]
+    gp = [pack(g, k, glo) for g in gs]
     out = []
     for row in rows:
         v = 0
@@ -399,6 +404,17 @@ def _operands(polys: Sequence[LaurentPoly]) -> tuple[list, list, int]:
         else:
             ms.append(0)
     return cs, ms, 0 if lo is None else lo
+
+
+def pack(f: LaurentPoly, k: int, lo: int) -> int:
+    """The value at z = 2^k of z^-lo * f, for lo at most f's lowest
+    exponent: f's coefficients as signed k-bit digits, its z^e at digit
+    e - lo.
+
+    >>> pack(LaurentPoly(-1, (1, 0, -1)), 4, -1)   # z^-1 - z
+    -255
+    """
+    return _pack(f.coeffs, k) << k * (f.lo - lo) if f.coeffs else 0
 
 
 def _pack(coeffs: tuple[int, ...], k: int) -> int:
@@ -437,18 +453,16 @@ def factor_sphere_prime(f: LaurentPoly) -> UnitA:
     """Given f with f*f.conj() == 2 - z^2 - z^-2, return the unit y with
     f = (z - z^-1) * y.
 
-    The divisibility by z - 1 and z + 1 is witnessed by f vanishing at both
-    evaluation points, which is checked before dividing.
+    Those f are exactly ±(z^(k+1) - z^(k-1)) = ±z^k (z - z^-1), which is
+    recognized from the coefficients.  In the factorial ring A, f divides
+    its norm -z^-2 (z - 1)^2 (z + 1)^2, so f = u (z - 1)^a (z + 1)^b with u
+    a unit; as (z - 1)* and (z + 1)* are unit multiples of z - 1 and z + 1,
+    the norm of f is a unit times (z - 1)^2a (z + 1)^2b, so a = b = 1.
     """
-    if f * f.conj() != SPHERE_PRIME_NORM:
+    c = f.coeffs
+    if len(c) != 3 or c[1] or c[0] != -c[2] or c[2] not in (1, -1):
         raise ValueError("f*f_conj must equal 2 - z^2 - z^-2")
-    if f.eval_int(1) != 0 or f.eval_int(-1) != 0:
-        raise ValueError("f must vanish at z = 1 and z = -1")
-    y = divexact(f, Z_MINUS_ZINV)
-    u = y.as_unit()
-    if u is None:
-        raise ValueError("quotient by z - z^-1 is not a unit")
-    return u
+    return UnitA(c[2], f.lo + 1)
 
 
 def random_poly(rng, degree_bound: int = 3, coeff_bound: int = 9) -> LaurentPoly:

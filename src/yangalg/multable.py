@@ -21,7 +21,13 @@ whose exact equality with the Yang table is the proof.
 The normalizer's precondition, the Lagrange identity N(x*y) = N(x)N(y), is
 proved exactly by ``check_lagrange``: the defect N(x*y) - N(x)N(y) is an
 A0-biquadratic form, so it vanishes identically once it vanishes on the
-36 x 36 pairs of proof points b_i and b_i + b_j.
+36 x 36 pairs of proof points b_i and b_i + b_j.  Each pair is one integer
+comparison: the table's coordinates are packed at z = 2^k (Kronecker
+substitution, as in ``laurent.sums_of_products``) with a digit width that
+bounds every coefficient of both sides, so nothing is unpacked.
+
+``MulTable.eval`` extends a table A0-bilinearly through the same kernel, one
+``sums_of_products`` call per product.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations, product
 
-from .laurent import LaurentPoly, UnitA
+from .laurent import LaurentPoly, UnitA, pack, sums_of_products
 from .algebra import (
     OctonionElt,
     decompose_unit,
@@ -81,13 +87,16 @@ class MulTable:
 
     def eval(self, x: OctonionElt, y: OctonionElt) -> OctonionElt:
         """The tabulated multiplication extended A0-bilinearly: both factors
-        are expanded over the Z[t]-basis via the A = A0 + A0*z split and
-        recombined with symmetric coefficients."""
-        acc = OctonionElt.zero()
+        are expanded over the Z[t]-basis via the A = A0 + A0*z split, and
+        coordinate k of the product is sum(a_i b_j c[i][j]_k) over the
+        expanded terms, one kernel row per k."""
+        scalars, coords = [], []
         for i, a in _expand(x):
             for j, b in _expand(y):
-                acc = acc + (a * b) * self.c[i][j]
-        return acc
+                scalars.append(a * b)
+                coords += self.c[i][j].coords
+        rows = [[(1, t, 4 * t + k) for t in range(len(scalars))] for k in range(4)]
+        return OctonionElt(*sums_of_products(scalars, coords, rows))
 
     def to_json(self) -> dict:
         return {"basis": BASIS_LABEL, "c": [[e.to_json() for e in row] for row in self.c]}
@@ -232,12 +241,58 @@ def point_products(table: MulTable):
 
 @cache
 def _proof_pairs() -> tuple:
-    """The 36 x 36 pairs of proof points b_i and b_i + b_j (i < j), as
-    (x indices, y indices, N(x)N(y)), fewest basis terms first: the 64 basis
-    pairs, then the pairs with one sum, then those with two."""
-    norms = {p: norm(proof_point(p)) for p in PROOF_POINTS}
-    pairs = sorted(product(PROOF_POINTS, repeat=2), key=lambda pq: len(pq[0]) + len(pq[1]))
-    return tuple((p, q, norms[p] * norms[q]) for p, q in pairs)
+    """The 36 x 36 pairs (x indices, y indices) of proof points b_i and
+    b_i + b_j (i < j), fewest basis terms first: the 64 basis pairs, then
+    the pairs with one sum, then those with two."""
+    return tuple(sorted(product(PROOF_POINTS, repeat=2),
+                        key=lambda pq: len(pq[0]) + len(pq[1])))
+
+
+@cache
+def _point_norms() -> dict:
+    """N(p) for each proof point p: 1 for b_i, 2 for b_i + b_j unless
+    j = i + 4, where it is z + 2 + z^-1."""
+    return {p: norm(proof_point(p)) for p in PROOF_POINTS}
+
+
+def _packed_norms(table: MulTable):
+    """The packed domain of ``check_lagrange``: ``(k, lo, hi, nprod)``,
+    where ``nprod(p, q)`` is the value at z = 2^k of z^(hi-lo) N(p*q) for
+    proof points p and q, and [lo, hi] spans the exponents of every entry
+    coordinate, padded to contain [-1, 1].
+
+    Each coordinate f of an entry is packed once, as the value at 2^k of
+    z^-lo f, and so is its conjugate, as the value of z^hi f*; both have
+    no negative exponent.  A coordinate P_k of p * q is then a sum of
+    packed entries, and N(p*q) = sum(P_k P_k*) is ``sum(P_k * Pbar_k)``.
+    Packing is additive, so the row of p = b_i + b_j is the sum of the
+    rows of b_i and b_j; each row is packed on first use.
+    """
+    lo, hi, m = -1, 1, 0
+    for row in table.c:
+        for e in row:
+            for f in e.coords:
+                c = f.coeffs
+                if c:
+                    lo = min(lo, f.lo)
+                    hi = max(hi, f.lo + len(c) - 1)
+                    m = max(m, max(c), -min(c))
+    k = max(64 * (hi - lo + 1) * m * m, 6).bit_length() + 1
+    c = table.c
+
+    @cache
+    def row(p):
+        if len(p) == 2:
+            return [tuple(map(operator.add, u, v)) for u, v in zip(row(p[:1]), row(p[1:]))]
+        return [tuple(pack(f, k, lo) for f in e.coords)
+                + tuple(pack(f.conj(), k, -hi) for f in e.coords) for e in c[p[0]]]
+
+    def nprod(p, q):
+        r = row(p)
+        u = r[q[0]] if len(q) == 1 else tuple(map(operator.add, r[q[0]], r[q[1]]))
+        return u[0] * u[4] + u[1] * u[5] + u[2] * u[6] + u[3] * u[7]
+
+    return k, lo, hi, nprod
 
 
 def check_lagrange(table: MulTable) -> LagrangeReport:
@@ -249,12 +304,35 @@ def check_lagrange(table: MulTable) -> LagrangeReport:
     cross coefficient; so F vanishes identically iff it vanishes on the
     36 x 36 pairs of proof points b_i, b_i + b_j, and no division is needed.
 
+    Each pair is one integer comparison in the packed domain of
+    ``_packed_norms``: ``nprod(p, q)``, which is z^(hi-lo) N(p*q) at
+    z = 2^k, against packed N(p) times packed N(q), each norm packed as
+    z N at 2^k and the product shifted by hi - lo - 2 digits.  The
+    comparison is exact:
+
+    - A coordinate of p * q sums at most 4 entry coordinates, so its
+      coefficients are at most 4m in absolute value, m the largest entry
+      coefficient, and its exponents lie in [lo, hi].  A coefficient of
+      its product with its conjugate sums at most hi - lo + 1 products of
+      two of these, so a coefficient of N(p*q), summed over 4
+      coordinates, is at most 64 (hi - lo + 1) m^2.
+    - N(p)N(q) is a product of two of 1, 2 and z + 2 + z^-1: its
+      coefficients are at most 6 and its exponents lie in [-2, 2].  The
+      padding lo <= -1 and 1 <= hi makes z^(hi-lo) N(p)N(q) a polynomial.
+    - With ``k = max(64 (hi - lo + 1) m^2, 6).bit_length() + 1`` every
+      coefficient on both sides lies strictly between -2^(k-1) and
+      2^(k-1), so each side is its polynomial written in balanced k-bit
+      digits.  Those digits are unique, so the two integers are equal iff
+      N(p*q) = N(p)N(q).  Nothing is unpacked.
+
     The 64 basis pairs are checked first; the first failing pair, which has
     the fewest basis terms, is the witness.
     """
-    prod = point_products(table)
-    for count, (p, q, expected) in enumerate(_proof_pairs(), 1):
-        if norm(prod(p, q)) != expected:
+    k, lo, hi, nprod = _packed_norms(table)
+    norms = {p: pack(n, k, -1) for p, n in _point_norms().items()}
+    shift = k * (hi - lo - 2)
+    for count, (p, q) in enumerate(_proof_pairs(), 1):
+        if nprod(p, q) != norms[p] * norms[q] << shift:
             return LagrangeReport(
                 False, count, (proof_point(p), proof_point(q)),
                 f"norm not multiplicative at proof point pair "

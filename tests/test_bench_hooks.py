@@ -4,6 +4,7 @@ CLI and library names.  These tests fail when a rename or deletion in
 yangalg would break a benchmark run."""
 
 import importlib
+import os
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,16 @@ def perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
     return (importlib.import_module("perfbench.spans"),
             importlib.import_module("perfbench.workloads"))
+
+
+@pytest.fixture
+def bench_run(perfbench, monkeypatch):
+    """``perfbench/run.py`` as a module; it imports ``calibration`` from its
+    own directory and pins the BLAS thread variables, restored here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    return importlib.import_module("perfbench.run")
 
 
 def _namespaces():
@@ -100,3 +111,37 @@ def test_normalize_workload_runs_traced(perfbench, tmp_path):
         assert workload.check(i, raw) is not None, label
     # the accepted op builds one full table: the certificate's replay
     assert tracer.totals([0])["multable.twist"][0] == 1
+
+
+@pytest.mark.parametrize("name", ["verify", "normalize", "tseq"])
+def test_workload_cycle_passes_the_run_checks(perfbench, bench_run, tmp_path, name):
+    # what makes run.py print "correct": false, short of the timing-based
+    # coverage gate: a wrong output its checks do not count, or a failed op
+    # in one whole cycle, run untraced and then traced
+    spans, workloads = perfbench
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    for label, i, raw in workload.wrong_outputs():
+        assert workload.check(i, raw) is not None, label
+    untraced = [bench_run.execute(workload, i) for i in range(4)]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = [bench_run.execute(workload, i, tracer) for i in range(4)]
+    finally:
+        tracer.uninstall()
+    for kind, _latency, problem in untraced + traced:
+        assert problem is None, (name, kind, problem)
+    assert [r[0] for r in traced] == list(workloads.CYCLE)
+    assert sorted(tracer.ops) == [0, 1, 2, 3]
+
+
+def test_normalize_workload_accepts_every_valid_table(perfbench, tmp_path):
+    # 12 cycles: ops 0-47 normalize each of the 36 valid tables and each of
+    # the 12 mutants once
+    _spans, workloads = perfbench
+    workload = workloads.WORKLOADS["normalize"](1, tmp_path)
+    ops = range(4 * len(workload.mutants))
+    assert {workload._input(i)[0] for i in ops} == {
+        path for path, _table, _triple in workload.valid + workload.mutants}
+    for i in ops:
+        assert workload.check(i, workload.run(i)) is None, (i, workload.kind(i))

@@ -100,20 +100,6 @@ def test_constant_term():
     assert prod.constant_term() == 2  # sum of squares of (1, 1)
 
 
-def test_eval_int():
-    f = Z - Z.conj()
-    assert f.eval_int(1) == 0
-    assert f.eval_int(-1) == 0
-    assert lp(0, 1, 2).eval_int(-1) == -1
-    with pytest.raises(ValueError):
-        lp(0, 1).eval_int(2)
-    rng = random.Random(0)
-    for _ in range(100):
-        g = random_poly(rng, 5, 9)
-        for w in (1, -1):
-            assert g.conj().eval_int(w) == g.eval_int(w)
-
-
 def test_is_symmetric():
     assert lp(-1, 1, 0, 1).is_symmetric()
     assert not Z.is_symmetric()
@@ -139,6 +125,27 @@ def test_split_round_trip():
         g, h = f.split_A0()
         assert g.is_symmetric() and h.is_symmetric()
         assert g + h * Z == f
+
+
+def split_oracle(f):
+    """The split by its definition: h = (f - f*) / (z - z^-1), g = f - h z."""
+    h = divexact(f - f.conj(), Z_MINUS_ZINV)
+    return f - h * Z, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys)
+@example(P.zero())
+@example(P.const(-7))
+@example(lp(-1, 1, 0, 1))                  # symmetric: h = 0
+@example(lp(-1, 1, 0, -1))                 # antisymmetric: z^-1 - z = -1 * (z - z^-1)
+@example(lp(12, 1))                        # z^12, far from 0
+@example(lp(-9, 2 ** 80, 0, 0, -(2 ** 64), 5))
+def test_split_matches_divexact(f):
+    g, h = f.split_A0()
+    assert (g, h) == split_oracle(f)
+    assert_canonical(g)
+    assert_canonical(h)
 
 
 def test_as_unit():
@@ -172,8 +179,11 @@ def test_factor_sphere_prime_examples():
     assert factor_sphere_prime(Z_MINUS_ZINV) == UnitA(1, 0)
     assert factor_sphere_prime(lp(-2, -1, 0, 1)) == UnitA(1, -1)  # 1 - z^-2
     assert factor_sphere_prime(-Z_MINUS_ZINV) == UnitA(-1, 0)
-    with pytest.raises(ValueError):
-        factor_sphere_prime(Z)
+    # norms other than 2 - z^2 - z^-2, three of them vanishing at z = 1 and -1
+    for f in (Z, P.zero(), lp(-1, 2, 0, -2), lp(-1, -1, 0, 2), lp(-1, -1, 1),
+              lp(-3, -1, 0, 0, 0, 0, 0, 1), lp(-1, 1, 0, 1)):
+        with pytest.raises(ValueError, match="must equal 2 - z"):
+            factor_sphere_prime(f)
 
 
 def test_factor_sphere_prime_round_trip():
@@ -182,6 +192,20 @@ def test_factor_sphere_prime_round_trip():
         u = UnitA(rng.choice((1, -1)), rng.randint(-6, 6))
         f = Z_MINUS_ZINV * u.to_poly()
         assert factor_sphere_prime(f) == u
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys.map(lambda f: P(f.lo, [max(-2, min(2, c)) for c in f.coeffs[:4]])))
+@example(lp(-1, -1, 0, 1))
+@example(lp(6, 1, 0, -1))
+def test_factor_sphere_prime_matches_norm(f):
+    # small polynomials, so that the units times z - z^-1 are drawn often
+    if f * f.conj() == SPHERE_PRIME_NORM:
+        u = factor_sphere_prime(f)
+        assert Z_MINUS_ZINV * u.to_poly() == f
+    else:
+        with pytest.raises(ValueError):
+            factor_sphere_prime(f)
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,7 +286,7 @@ def test_no_nonsquare_constant_norms():
     for _ in range(500):
         f = random_poly(rng, 4, 9)
         sq = f * f.conj()
-        assert is_perfect_square(sq.eval_int(1))
+        assert is_perfect_square(sum(sq.coeffs))  # the value at z = 1
         if not sq.coeffs or (sq.lo == 0 and len(sq.coeffs) == 1):
             assert is_perfect_square(sq.constant_term())
         for m in non_squares:

@@ -2,11 +2,12 @@
 
 import operator
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from yangalg.laurent import Z, LaurentPoly, UnitA
+from yangalg.laurent import Z, Z_MINUS_ZINV, LaurentPoly, UnitA, _unpack, divexact
 from yangalg.algebra import (
     YANG_SIGNS,
     OctonionElt,
@@ -16,11 +17,13 @@ from yangalg.algebra import (
     random_oct,
     thakur_mul,
     trace,
+    oct_conj,
     yang_mul,
     yang_mul_with_sign_flip,
 )
 from yangalg import multable
 from yangalg.multable import (
+    PROOF_POINTS,
     EquivCertificate,
     LagrangeError,
     LagrangeReport,
@@ -32,6 +35,8 @@ from yangalg.multable import (
     elduque_check,
     kaplansky_unitize,
     normalize,
+    point_products,
+    proof_point,
     straighten_scalar_action,
     table_of,
     twist,
@@ -97,6 +102,51 @@ def test_eval_matches_tabulated_function():
     for _ in range(50):
         x, y = random_oct(rng), random_oct(rng)
         assert cd.eval(x, y) == cd_oct_mul(x, y)
+
+
+# Polynomials with small coefficients (zeros among them) or ones beyond 2^64.
+BIG = 2 ** 64
+polys = st.builds(LaurentPoly, st.integers(-6, 6), st.lists(st.one_of(
+    st.integers(-3, 3), st.integers(BIG, 4 * BIG), st.integers(-4 * BIG, -BIG)), max_size=5))
+octs = st.builds(OctonionElt, polys, polys, polys, polys)
+
+
+def eval_oracle(table, x, y):
+    """``eval`` as the entry-by-entry loop it replaced, over the split of
+    each coordinate by its definition, h = (f - f*)/(z - z^-1)."""
+    def expand(v):
+        for k, f in enumerate(v.coords):
+            h = divexact(f - f.conj(), Z_MINUS_ZINV)
+            yield k, f - h * Z
+            yield k + 4, h
+
+    acc = OctonionElt.zero()
+    for i, a in expand(x):
+        for j, b in expand(y):
+            acc = acc + (a * b) * table.c[i][j]
+    return acc
+
+
+def random_table(seed: int) -> MulTable:
+    """A table with random entries: some zero, some scaled beyond 2^64."""
+    rng = random.Random(seed)
+    scale = LaurentPoly(-2, (BIG + 1, 0, -3))
+    return MulTable([[rng.choice((OctonionElt.zero(), random_oct(rng, 2, 3),
+                                  random_oct(rng, 2, 3) * scale)) for _ in range(8)]
+                     for _ in range(8)])
+
+
+tables = st.integers(0, 2 ** 32).map(random_table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables, octs, octs)
+@example(yang_table(), E(0), E(3))
+@example(yang_table(), OctonionElt.zero(), Z * E(2))
+@example(table_of(cd_oct_mul), Z * E(1), LaurentPoly(-1, (1, 0, 1)) * E(2))
+@example(MulTable([[OctonionElt.zero()] * 8] * 8), E(1), E(1))
+def test_eval_matches_entry_by_entry_loop(table, x, y):
+    assert table.eval(x, y) == eval_oracle(table, x, y)
 
 
 def test_twist_identity_and_inverse():
@@ -185,6 +235,121 @@ def test_check_lagrange_witness_is_a_basis_pair_when_one_fails():
     report = check_lagrange(MulTable(entries))
     assert not report.ok and report.pairs <= 64
     assert report.witness == (TBASIS[2], TBASIS[5])
+
+
+def lagrange_oracle(table) -> LagrangeReport:
+    """``check_lagrange`` as the loop it replaced: N(p*q), summed from the
+    table's entries, against N(p)N(q) by ``algebra.norm``, with the pairs
+    in the documented order (fewest basis terms first)."""
+    pairs = sorted(product(PROOF_POINTS, repeat=2), key=lambda pq: len(pq[0]) + len(pq[1]))
+    for count, (p, q) in enumerate(pairs, 1):
+        x, y = proof_point(p), proof_point(q)
+        pq = OctonionElt.zero()
+        for i in p:
+            for j in q:
+                pq = pq + table.c[i][j]
+        if norm(pq) != norm(x) * norm(y):
+            labels = ["+".join(f"b{i}" for i in idx) for idx in (p, q)]
+            return LagrangeReport(False, count, (x, y), f"norm not multiplicative at "
+                                                        f"proof point pair ({labels[0]}, {labels[1]})")
+    return LagrangeReport(True, count)
+
+
+def assert_matches_lagrange_oracle(table):
+    report = check_lagrange(table)
+    assert report == lagrange_oracle(table)
+    return report
+
+
+def scaled(table, f, entries=None) -> MulTable:
+    """The table with the given entries (default: all) multiplied by f."""
+    return MulTable([[e * f if entries is None or (i, j) in entries else e
+                      for j, e in enumerate(row)] for i, row in enumerate(table.c)])
+
+
+def constant_part(table) -> MulTable:
+    """Each entry coordinate cut down to its constant term."""
+    return MulTable([[OctonionElt.from_coords(f.constant_term() for f in e.coords)
+                      for e in row] for row in table.c])
+
+
+HUGE = LaurentPoly(-3, (2 ** 80 + 1, 0, -(2 ** 64)))
+PINNED_LAGRANGE_TABLES = {
+    "yang": yang_table(),
+    "cd": table_of(cd_oct_mul),
+    "thakur": table_of(thakur_mul),
+    "opposite": table_of(lambda x, y: yang_mul(y, x)),
+    "conjugated": table_of(lambda x, y: oct_conj(yang_mul(x, y))),
+    "zero": MulTable([[OctonionElt.zero()] * 8] * 8),
+    "yang with zero entries": edited_yang({(3, 5): lambda e: OctonionElt.zero(),
+                                           (6, 6): lambda e: OctonionElt.zero()}),
+    "constant part of yang": constant_part(yang_table()),
+    "unit entries": MulTable([[E((i + j) % 4) for j in range(8)] for i in range(8)]),
+    "scaled by a huge polynomial": scaled(yang_table(), HUGE),
+    "one entry scaled by a huge polynomial": scaled(yang_table(), HUGE, {(6, 7)}),
+    "scaled by z^5": scaled(yang_table(), LaurentPoly.term(1, 5)),
+    "scaled by -z^-7": scaled(yang_table(), LaurentPoly.term(-1, -7)),
+    **{f"negated {divmod(k, 8)}": negated_entry_table(*divmod(k, 8)) for k in range(64)},
+    **{f"sign flip {k}": table_of(yang_mul_with_sign_flip(k)) for k in range(16)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LAGRANGE_TABLES))
+def test_check_lagrange_matches_oracle_on_pinned_tables(name):
+    assert_matches_lagrange_oracle(PINNED_LAGRANGE_TABLES[name])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 6))
+def test_check_lagrange_matches_oracle_on_twisted_tables(rng, bound):
+    tw = twist(yang_table(), *(random_nf(rng, bound) for _ in range(3)))
+    assert assert_matches_lagrange_oracle(tw).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from(("negate", "zero", "scale", "constant", "double")))
+def test_check_lagrange_matches_oracle_on_mutants(rng, edit):
+    """A twisted Yang table with entries negated, zeroed or scaled by a
+    polynomial beyond 2^64 with negative lowest exponent, cut to its
+    constant terms, or an entry doubled; twisted again or not."""
+    tw = twist(yang_table(), *(random_nf(rng, rng.randint(0, 6)) for _ in range(3)))
+    entries = {divmod(k, 8) for k in rng.sample(range(64), rng.randint(1, 3))}
+    big = LaurentPoly(rng.randint(-6, -1), (rng.randint(BIG, 4 * BIG), rng.randint(-3, 3),
+                                             -rng.randint(BIG, 4 * BIG)))
+    table = {
+        "negate": lambda: scaled(tw, -1, entries),
+        "zero": lambda: scaled(tw, 0, entries),
+        "scale": lambda: scaled(tw, big, entries),
+        "constant": lambda: constant_part(tw),
+        "double": lambda: scaled(tw, 2, entries),
+    }[edit]()
+    if rng.random() < 0.5:
+        table = twist(table, *(random_nf(rng, 3) for _ in range(3)))
+    assert_matches_lagrange_oracle(table)
+
+
+def full_table(m, lo, hi) -> MulTable:
+    """Every entry coordinate is m (z^lo + ... + z^hi): at the pair
+    (b0 + b1, b0 + b1) the middle coefficient of N(p*q) reaches the bound
+    64 (hi - lo + 1) m^2 of ``check_lagrange``'s digit width."""
+    f = LaurentPoly(lo, (m,) * (hi - lo + 1))
+    return MulTable([[OctonionElt(f, f, f, f)] * 8] * 8)
+
+
+@pytest.mark.parametrize("table", [
+    full_table(1, -1, 1), full_table(3, -4, 2), full_table(-(2 ** 70), 0, 0),
+    full_table(5, 2, 9), yang_table(), scaled(yang_table(), HUGE),
+    constant_part(yang_table())], ids=[
+    "full 1 [-1, 1]", "full 3 [-4, 2]", "full -2^70 [0, 0]", "full 5 [2, 9]", "yang",
+    "yang scaled by a huge polynomial", "constant part of yang"])
+def test_packed_norms_are_balanced_digits(table):
+    # the packed N(p*q) holds each coefficient in one balanced k-bit digit,
+    # the bound that makes check_lagrange's integer comparison exact
+    k, lo, hi, nprod = multable._packed_norms(table)
+    prod = point_products(table)
+    for p, q in multable._proof_pairs():
+        assert _unpack(nprod(p, q), k, lo - hi) == norm(prod(p, q))
 
 
 def test_kaplansky_on_yang_is_trivial():
