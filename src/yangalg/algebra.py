@@ -2,11 +2,12 @@
 three independently written multiplications that are required to agree.
 
 ``yang_mul`` is the explicit four-formula product satisfying the polynomial
-Lagrange identity N(x*y) = N(x)N(y).  ``cd_oct_mul`` doubles the quaternion
-algebra H = A x A a second time, and ``thakur_mul`` goes through the ternary
-hermitian form and cross product.  Each is transcribed from its own formula,
-never derived from the others, so their mutual agreement in the test suite is
-a strong check on all three.
+Lagrange identity N(x*y) = N(x)N(y), built by ``term_mul`` from its term table
+``_YANG_TERMS`` (four terms ``± x_i^(*) y_j^(*)`` per output coordinate).
+``cd_oct_mul`` doubles the quaternion algebra H = A x A a second time, and
+``thakur_mul`` goes through the ternary hermitian form and cross product.
+Each is transcribed from its own formula, never derived from the others, so
+their mutual agreement in the test suite is a strong check on all three.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ class OctonionElt:
 
 
 # The four defining formulae, one row per output coordinate.  Each term is
-# (sign, left index, conjugate left?, right index, conjugate right?); the
-# flattened sign vector is the fault-injection surface used to validate that
-# the identity checks catch any single transcription slip.
+# (sign, left index, conjugate left?, right index, conjugate right?).  Each
+# term's sign and two conjugation flags are the fault-injection surface: the
+# identity checks are validated against all 48 single-term slips.
 _YANG_TERMS = (
     ((+1, 0, False, 0, False), (-1, 1, False, 1, True),
      (-1, 2, False, 2, True), (-1, 3, False, 3, True)),
@@ -146,26 +147,23 @@ _YANG_TERMS = (
      (-1, 2, True, 1, True), (+1, 3, False, 0, True)),
 )
 
-YANG_SIGNS = tuple(sign for row in _YANG_TERMS for (sign, *_rest) in row)
 
-
-def yang_mul_with_signs(x: OctonionElt, y: OctonionElt, signs) -> OctonionElt:
-    """The four-formula product with an explicit 16-entry sign vector.
-
-    ``signs == YANG_SIGNS`` gives the genuine product; flipping a single
-    entry produces a faulty variant for mutation-testing the checks.
-    """
+def term_mul(terms):
+    """The product whose coordinate k sums row k's terms ``sign * x_i^(*) y_j^(*)``
+    of a table shaped like ``_YANG_TERMS``; its kernel rows are built once, here."""
     # Operands 0-3 are the coordinates and 4-7 their conjugates, so each
     # coordinate is conjugated once per product, not once per term.
-    signs = iter(signs)
-    rows = [[(1 if next(signs) > 0 else -1, i + 4 * ci, j + 4 * cj)
-             for (_sign, i, ci, j, cj) in row] for row in _YANG_TERMS]
-    return OctonionElt(*sums_of_products(_with_conj(x), _with_conj(y), rows))
+    rows = tuple(tuple((sign, i + 4 * ci, j + 4 * cj) for (sign, i, ci, j, cj) in row)
+                 for row in terms)
+    return lambda x, y: OctonionElt(*sums_of_products(_with_conj(x), _with_conj(y), rows))
 
 
 def _with_conj(x: OctonionElt) -> tuple[LaurentPoly, ...]:
     """The four coordinates of x followed by their conjugates."""
     return x.coords + tuple(c.conj() for c in x.coords)
+
+
+_yang = term_mul(_YANG_TERMS)
 
 
 def yang_mul(x: OctonionElt, y: OctonionElt) -> OctonionElt:
@@ -178,15 +176,15 @@ def yang_mul(x: OctonionElt, y: OctonionElt) -> OctonionElt:
 
     which satisfies N(x*y) = N(x)N(y) exactly.
     """
-    return yang_mul_with_signs(x, y, YANG_SIGNS)
+    return _yang(x, y)
 
 
 def yang_mul_with_sign_flip(k: int):
-    """A yang_mul variant with the k-th of the 16 term signs negated."""
-    signs = list(YANG_SIGNS)
-    signs[k] = -signs[k]
-    signs = tuple(signs)
-    return lambda x, y: yang_mul_with_signs(x, y, signs)
+    """yang_mul with the sign of term k (row k // 4, slot k % 4) negated."""
+    terms = [list(row) for row in _YANG_TERMS]
+    sign, *rest = terms[k // 4][k % 4]
+    terms[k // 4][k % 4] = (-sign, *rest)
+    return term_mul(terms)
 
 
 def cd_oct_mul(x: OctonionElt, y: OctonionElt) -> OctonionElt:

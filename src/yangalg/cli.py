@@ -85,7 +85,7 @@ def run_verify(config: RunConfig, mul=None):
 
     ``mul`` substitutes the product under test (used to validate that the
     suite catches faulty transcriptions); default is the Yang product.  It
-    must be A0-bilinear, as every sign-vector product is; the ``bilinear``
+    must be A0-bilinear, as every ``term_mul`` product is; the ``bilinear``
     entry probes this at a generic pair against its table.  As ``trace`` and
     ``oct_conj`` are A0-linear, ``norm`` quadratic and ``polar_q`` bilinear,
     each identity is then A0-linear or quadratic in each argument, so it

@@ -103,12 +103,9 @@ class MulTable:
 
     @classmethod
     def from_json(cls, data) -> MulTable:
-        """Parse ``{"basis", "c"}``.  A boolean ``lagrange_checked`` key, which
-        older files carry, is accepted and ignored: the Lagrange identity is
-        always proved, never taken from the file."""
-        if (not isinstance(data, dict) or set(data) - {"lagrange_checked"} != {"basis", "c"}
-                or not isinstance(data.get("lagrange_checked", False), bool)):
-            raise ValueError("table JSON must have keys basis, c")
+        """Parse ``{"basis", "c"}``; any other key is an error."""
+        if not isinstance(data, dict) or set(data) != {"basis", "c"}:
+            raise ValueError("table JSON must have exactly the keys basis, c")
         if data["basis"] != BASIS_LABEL:
             raise ValueError(f"unsupported basis label {data['basis']!r}")
         c = data["c"]

@@ -7,7 +7,6 @@ import random
 from yangalg.laurent import Z_MINUS_ZINV, UnitA
 from yangalg.algebra import (
     OctonionElt,
-    YANG_SIGNS,
     cd_oct_mul,
     decompose_sphere_prime,
     decompose_unit,
@@ -16,10 +15,10 @@ from yangalg.algebra import (
     oct_conj,
     polar_q,
     random_oct,
+    term_mul,
     thakur_mul,
     trace,
     yang_mul,
-    yang_mul_with_sign_flip,
 )
 from yangalg.multable import (
     elduque_check,
@@ -35,6 +34,7 @@ from yangalg.sequences import (
     is_hadamard,
     to_pm1_quad,
 )
+from mutants import single_term_mutants
 
 E = OctonionElt.e
 
@@ -192,15 +192,16 @@ def test_criterion_9_combinatorial_pipeline():
 def test_criterion_10_mutation_sensitivity():
     ok = True
     undetected = []
-    for k in range(len(YANG_SIGNS)):
-        bad = yang_mul_with_sign_flip(k)
+    for name, terms in single_term_mutants():
+        bad = term_mul(terms)
         rng = random.Random(110)
         for trial in range(1000):
             x, y = random_oct(rng, 6, 9), random_oct(rng, 6, 9)
             if norm(bad(x, y)) != norm(x) * norm(y):
                 break
         else:
-            undetected.append(k)
+            undetected.append(name)
             ok = False
-    _report(10, "each of the 16 single-sign faults breaks the Lagrange check "
-                f"within 1000 trials (undetected: {undetected})", ok)
+    _report(10, "each of the 48 single-term faults (16 sign flips, 32 conjugation "
+                f"flips) breaks the Lagrange identity within 1000 random pairs "
+                f"(undetected: {undetected})", ok)

@@ -15,7 +15,6 @@ from yangalg.laurent import (
 )
 from yangalg.algebra import (
     _YANG_TERMS,
-    YANG_SIGNS,
     OctonionElt,
     QuaternionElt,
     cd_oct_mul,
@@ -28,11 +27,13 @@ from yangalg.algebra import (
     quat_conj,
     quat_mul,
     random_oct,
+    term_mul,
     thakur_mul,
     trace,
     yang_mul,
     yang_mul_with_sign_flip,
 )
+from mutants import single_term_mutants
 
 E = OctonionElt.e
 ZERO = OctonionElt.zero()
@@ -289,18 +290,29 @@ def test_sign_flip_breaks_lagrange():
     )
 
 
-def _plain_yang(x, y, signs):
-    """``_YANG_TERMS`` with the given signs, summed with LaurentPoly's own
-    ``*``, ``+`` and unary ``-`` (the reference for the product kernel)."""
+def test_yang_term_table_shape():
+    # Klein pattern: row k pairs x_i with y_j where i xor j == k, and each
+    # row uses every left and every right coordinate exactly once
+    for k, row in enumerate(_YANG_TERMS):
+        assert len(row) == 4
+        for (sign, i, ci, j, cj) in row:
+            assert sign in (1, -1) and isinstance(ci, bool) and isinstance(cj, bool)
+            assert i ^ j == k
+        assert sorted(i for (_s, i, _ci, _j, _cj) in row) == [0, 1, 2, 3]
+        assert sorted(j for (_s, _i, _ci, j, _cj) in row) == [0, 1, 2, 3]
+
+
+def _plain_terms(x, y, terms):
+    """The product of a term table, summed with LaurentPoly's own ``*``,
+    ``+`` and unary ``-`` (the reference for the product kernel)."""
     xs = (x.coords, tuple(c.conj() for c in x.coords))
     ys = (y.coords, tuple(c.conj() for c in y.coords))
-    signs = iter(signs)
     out = []
-    for row in _YANG_TERMS:
+    for row in terms:
         acc = LaurentPoly.zero()
-        for (_sign, i, ci, j, cj) in row:
+        for (sign, i, ci, j, cj) in row:
             term = xs[ci][i] * ys[cj][j]
-            acc = acc + (term if next(signs) > 0 else -term)
+            acc = acc + (term if sign > 0 else -term)
         out.append(acc)
     return OctonionElt(*out)
 
@@ -311,11 +323,13 @@ def test_kernel_products_match_plain_ops():
     pairs += [(ZERO, E(1)), (Z * E(2), LaurentPoly.term(-1, -4) * E(3)),
               (E(0) + Z_MINUS_ZINV * E(3), random_oct(rng, 4, 2**64))]
     for x, y in pairs:
-        assert yang_mul(x, y) == _plain_yang(x, y, YANG_SIGNS)
-        for k in range(16):
-            signs = list(YANG_SIGNS)
-            signs[k] = -signs[k]
-            assert yang_mul_with_sign_flip(k)(x, y) == _plain_yang(x, y, signs), k
+        assert yang_mul(x, y) == _plain_terms(x, y, _YANG_TERMS)
+        # the 48 single-term mutants; the first 16 are the sign flips
+        for k, (name, terms) in enumerate(single_term_mutants()):
+            expected = _plain_terms(x, y, terms)
+            assert term_mul(terms)(x, y) == expected, name
+            if k < 16:
+                assert yang_mul_with_sign_flip(k)(x, y) == expected, name
         plain_norm = LaurentPoly.zero()
         plain_polar = LaurentPoly.zero()
         for a, b in zip(x.coords, y.coords):

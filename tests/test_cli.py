@@ -13,6 +13,7 @@ from yangalg.algebra import (
     norm,
     oct_conj,
     polar_q,
+    term_mul,
     thakur_mul,
     trace,
     yang_mul,
@@ -31,6 +32,7 @@ from yangalg.multable import (
 )
 from yangalg.ortho import TBASIS, OrthoNF, random_nf
 from yangalg.sequences import is_hadamard, parse_hadamard
+from mutants import single_term_mutants
 
 
 def small_config(**kw):
@@ -130,9 +132,14 @@ def _fails_at(name, mul, witness):
     return thakur_mul(x, y) != mul(x, y)
 
 
-@pytest.mark.parametrize("k", range(16))
+# The 48 single-term faults: 0-15 flip a sign (the products
+# yang_mul_with_sign_flip(k)), 16-47 flip a conjugation flag.
+MUTANTS = list(single_term_mutants())
+
+
+@pytest.mark.parametrize("k", range(len(MUTANTS)))
 def test_verify_refutes_every_sign_flip(k, capsys):
-    mul = yang_mul_with_sign_flip(k)
+    mul = term_mul(MUTANTS[k][1])
     assert cli.cmd_verify(small_config(output_format="json"), mul=mul) == cli.EXIT_VERIFY_FAILED
     report = json.loads(capsys.readouterr().out)
     assert report["all_passed"] is False
@@ -145,19 +152,20 @@ def test_verify_refutes_every_sign_flip(k, capsys):
 
 def test_every_proof_refutes_sign_flips():
     # each proof run on its own, past the generic pair that rejects first:
-    # every identity but the bilinearity probe refutes every single-sign
-    # fault, except that x0 y0 with its sign flipped keeps the adjoint law
-    for k in range(16):
-        mul = yang_mul_with_sign_flip(k)
+    # every identity but the bilinearity probe refutes every single-term
+    # fault (a flipped conjugation is still A0-linear, so the probe cannot
+    # see it), except that x0 y0 with its sign flipped keeps the adjoint law
+    for fault, terms in MUTANTS:
+        mul = term_mul(terms)
         refuted = set()
         for name, points, failures in cli._proofs(mul):
             assert points == POINTS[name]
             witness = next(failures, None)
             if witness is not None:
-                assert _fails_at(name, mul, witness), (k, name)
+                assert _fails_at(name, mul, witness), (fault, name)
                 refuted.add(name)
-        expected = set(POINTS) - {"bilinear"} - ({"adjoint"} if k == 0 else set())
-        assert refuted == expected, k
+        expected = set(POINTS) - {"bilinear"} - ({"adjoint"} if fault == "sign 0" else set())
+        assert refuted == expected, fault
 
 
 @pytest.mark.parametrize("k", [1, 6, 11])
@@ -358,8 +366,7 @@ def test_normalize_malformed_table_exits_2(tmp_path, capsys):
     for k, c in enumerate((list(range(1, 9)), [list(range(8))] * 8,
                            good["c"][:7] + [None])):
         table_file = tmp_path / f"malformed-{k}.json"
-        table_file.write_text(json.dumps({"basis": good["basis"], "c": c,
-                                          "lagrange_checked": False}))
+        table_file.write_text(json.dumps({"basis": good["basis"], "c": c}))
         assert main(["normalize", str(table_file)]) == cli.EXIT_PARSE
         err = capsys.readouterr().err
         assert "cannot read table" in err and "Traceback" not in err
@@ -386,11 +393,14 @@ def test_normalize_lagrange_failure(tmp_path, capsys):
     assert not (tmp_path / "bad_table.cert.json").exists()
 
 
-def test_normalize_ignores_stored_lagrange_flag(tmp_path, capsys):
-    # a file that claims the check already passed is proved all the same
+def test_normalize_rejects_stored_lagrange_flag(tmp_path, capsys):
+    # a table file has exactly the keys basis and c: a file that claims the
+    # Lagrange check already passed is malformed, not proved or trusted
     _bad, bad_file = _negated_entry_file(tmp_path, lagrange_checked=True)
-    assert main(["normalize", str(bad_file)]) == cli.EXIT_LAGRANGE
-    assert "norm not multiplicative" in capsys.readouterr().err
+    assert main(["normalize", str(bad_file)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read table") and len(err.splitlines()) == 1
+    assert not (tmp_path / "bad_table.cert.json").exists()
 
 
 def test_normalize_pass_rejection(tmp_path, monkeypatch, capsys):
