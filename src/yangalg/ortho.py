@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, UnitA
+from .laurent import Z, LaurentPoly, UnitA
 from .algebra import OctonionElt, decompose_unit
 
-_Z = LaurentPoly.term(1, 1)
 _ID_UNITS = (UnitA.identity(),) * 4
 _ID_PERM = (0, 1, 2, 3)
 _NO_EPS = (False,) * 4
@@ -146,7 +145,7 @@ def tbasis_elt(i: int) -> OctonionElt:
     """The i-th element of the Z[t]-basis (e0..e3, z*e0..z*e3)."""
     if i < 4:
         return OctonionElt.e(i)
-    return _Z * OctonionElt.e(i - 4)
+    return Z * OctonionElt.e(i - 4)
 
 
 TBASIS = tuple(tbasis_elt(i) for i in range(8))
@@ -190,8 +189,8 @@ def recognize(m) -> OrthoNF:
     for i in range(4):
         tgt = perm[i]
         u_poly = units[tgt].to_poly()
-        plain = (_Z * u_poly) * OctonionElt.e(tgt)
-        conjugated = (_Z.conj() * u_poly) * OctonionElt.e(tgt)
+        plain = (Z * u_poly) * OctonionElt.e(tgt)
+        conjugated = (Z.conj() * u_poly) * OctonionElt.e(tgt)
         img = images[4 + i]
         if img == conjugated:
             eps[i] = True

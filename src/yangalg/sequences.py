@@ -250,8 +250,14 @@ def is_hadamard(h) -> bool:
     return bool(np.array_equal(m @ m.T, order * np.eye(order, dtype=np.int64)))
 
 
+QUAD_ENTRY_BOUND = 2 ** 63
+
+
 def parse_quad_line(line: str):
-    """Parse one quad from the ``a1,a2;b1,b2;c1,c2;d1,d2`` wire format."""
+    """Parse one quad from the ``a1,a2;b1,b2;c1,c2;d1,d2`` wire format.
+    Every entry must lie strictly between -QUAD_ENTRY_BOUND and
+    QUAD_ENTRY_BOUND: products of larger ones can pass Python's limit on
+    the digits of an int printed as a string."""
     parts = line.strip().split(";")
     if len(parts) != 4:
         raise ValueError("a quad line has four ;-separated sequences")
@@ -259,6 +265,8 @@ def parse_quad_line(line: str):
         seqs = tuple(tuple(int(v) for v in part.split(",")) for part in parts)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad quad entry: {exc}") from exc
+    if any(abs(v) >= QUAD_ENTRY_BOUND for s in seqs for v in s):
+        raise ValueError(f"quad entry out of range: |entry| must be below {QUAD_ENTRY_BOUND}")
     _validate_quad_shape(seqs)
     return seqs
 
@@ -279,13 +287,14 @@ def read_quads(text: str):
     return quads
 
 
-def format_hadamard(h, source_lengths, verified: bool) -> str:
-    """The matrix file format: a JSON metadata line, then +/- rows."""
+def format_hadamard(h, source_lengths) -> str:
+    """The matrix file format: a JSON metadata line, then +/- rows.  Only a
+    matrix that passed ``is_hadamard`` is written, so ``verified`` is true."""
     m = np.asarray(h, dtype=np.int64)
     meta = json.dumps({
         "order": int(m.shape[0]),
         "source_lengths": list(source_lengths),
-        "verified": bool(verified),
+        "verified": True,
     }, sort_keys=True)
     rows = ["".join("+" if v > 0 else "-" for v in row) for row in m]
     return "\n".join([meta] + rows) + "\n"

@@ -1,9 +1,11 @@
 """Tests for the octonion module: the three multiplications, the norm-form
 machinery, and the sphere decompositions."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangalg.laurent import (
     SPHERE_PRIME_NORM,
@@ -339,11 +341,15 @@ def test_kernel_products_match_plain_ops():
         assert polar_q(x, y) == plain_polar
 
 
-def test_octonion_json_round_trip():
-    rng = random.Random(29)
-    for _ in range(30):
-        x = random_oct(rng)
-        assert OctonionElt.from_json(x.to_json()) == x
+# Coefficients up to 2^70, zeros among them.
+polys = st.builds(LaurentPoly, st.integers(-8, 8),
+                  st.lists(st.integers(-(2 ** 70), 2 ** 70), max_size=6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.builds(OctonionElt, polys, polys, polys, polys))
+def test_octonion_json_round_trip(x):
+    assert OctonionElt.from_json(json.loads(json.dumps(x.to_json()))) == x
     with pytest.raises(ValueError):
         OctonionElt.from_json({"x": [LaurentPoly.zero().to_json()] * 3})
     with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from yangalg.algebra import (
 from yangalg.cli import RunConfig, main, run_verify
 from yangalg.multable import (
     EquivCertificate,
-    LagrangeReport,
     MulTable,
     elduque_check,
     table_of,
@@ -403,15 +402,6 @@ def test_normalize_rejects_stored_lagrange_flag(tmp_path, capsys):
     assert not (tmp_path / "bad_table.cert.json").exists()
 
 
-def test_normalize_pass_rejection(tmp_path, monkeypatch, capsys):
-    _bad, bad_file = _negated_entry_file(tmp_path)
-    # force the Lagrange gate open: the passes must still reject
-    monkeypatch.setattr(multable, "check_lagrange",
-                        lambda table: LagrangeReport(True, 0))
-    assert main(["normalize", str(bad_file)]) == cli.EXIT_NORMALIZE
-    assert "error" in capsys.readouterr().err
-
-
 def test_normalize_ignores_sampling_flags(tmp_path):
     rng = random.Random(8)
     table = twist(yang_table(), *(random_nf(rng, 2) for _ in range(3)))
@@ -470,6 +460,15 @@ def test_hadamard_error_paths(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.sequences, "brute_force_tseq", lambda n, limit: [])
     assert main(["hadamard", "--search", "3",
                  "--out", str(tmp_path / "w.txt")]) == cli.EXIT_SEARCH_EXHAUSTED
+
+
+def test_hadamard_writes_no_unverified_matrix(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.sequences, "is_hadamard", lambda h: False)
+    out = tmp_path / "h.txt"
+    assert main(["hadamard", "--search", "3", "--out", str(out)]) == cli.EXIT_VERIFY_FAILED
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err == "error: the order-12 matrix is not Hadamard\n"
 
 
 def test_hadamard_proves_t_property_once(tmp_path, monkeypatch, capsys):
@@ -538,6 +537,24 @@ def test_twist_leaves_no_partial_output(tmp_path, capsys):
                  "--triple-out", str(tmp_path / "missing-dir" / "x.json")]) == cli.EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: cannot write")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["hadamard", "compose"])
+def test_quad_entry_past_the_bound_exits_2(command, fmt, tmp_path, capsys):
+    # a 3000-digit entry: the product's digits would pass the limit on
+    # printing an int
+    big = tmp_path / "big.txt"
+    big.write_text("9" * 3000 + ";7;0;0\n")
+    small = tmp_path / "r.txt"
+    small.write_text("1;0;0;0\n")
+    out = tmp_path / "h.txt"
+    argv = ["hadamard", str(big), "--out", str(out)] if command == "hadamard" \
+        else ["compose", str(big), str(small)]
+    assert main(["--format", fmt, *argv]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists() and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot read quad: quad entry out of range")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Tests for the Laurent polynomial layer."""
 
+import json
 import math
 import random
 
@@ -293,12 +294,12 @@ def test_no_nonsquare_constant_norms():
             assert sq != P.const(m)
 
 
-def test_json_round_trip():
-    rng = random.Random(9)
-    for _ in range(50):
-        f = random_poly(rng, 6, 9)
-        assert P.from_json(f.to_json()) == f
-    assert P.from_json({"lo": 0, "coeffs": []}) == P.zero()
+@settings(max_examples=100, deadline=None)
+@given(polys, st.builds(UnitA, st.sampled_from((1, -1)), st.integers(-1024, 1024)))
+@example(P.zero(), UnitA(1, 1024))
+def test_json_round_trip(f, u):
+    assert P.from_json(json.loads(json.dumps(f.to_json()))) == f
+    assert UnitA.from_json(json.loads(json.dumps(u.to_json()))) == u
 
 
 def test_json_rejects_noncanonical():

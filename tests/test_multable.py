@@ -1,5 +1,6 @@
 """Tests for multiplication tables, twisting, and the normalizer."""
 
+import json
 import operator
 import random
 from itertools import product
@@ -21,7 +22,7 @@ from yangalg.algebra import (
     yang_mul,
     yang_mul_with_sign_flip,
 )
-from yangalg import multable
+from yangalg import cli, multable
 from yangalg.multable import (
     PROOF_POINTS,
     EquivCertificate,
@@ -421,22 +422,33 @@ def test_passes_extend_the_certificate_they_are_given():
 
 
 def test_normalize_builds_one_table(monkeypatch):
-    calls = []
-    real = multable.twist
+    # the replay builds the one table, 64 products; the passes read only the
+    # 21 entries their steps are computed from (row and column 0 with
+    # recognize's probes, three scalar-action probes and e1 * e2), so a pass
+    # that re-checks its own result fails here
+    calls, evals = [], {True: 0, False: 0}
+    real_twist, real_eval = multable.twist, MulTable.eval
 
-    def counting(*args):
+    def counting_twist(*args):
         calls.append(args)
-        return real(*args)
+        return real_twist(*args)
 
-    monkeypatch.setattr(multable, "twist", counting)
+    def counting_eval(table, x, y):
+        evals[bool(calls)] += 1
+        return real_eval(table, x, y)
+
     rng = random.Random(51)
-    tw = real(yang_table(), *(random_nf(rng, 3) for _ in range(3)))
+    tw = real_twist(yang_table(), *(random_nf(rng, 3) for _ in range(3)))
+    monkeypatch.setattr(multable, "twist", counting_twist)
+    monkeypatch.setattr(MulTable, "eval", counting_eval)
     cert = normalize(tw)
     assert len(calls) == 1 and calls[0] == (tw, *cert)
+    assert evals == {False: 21, True: 64}
     calls.clear()
+    evals.update({True: 0, False: 0})
     with pytest.raises(LagrangeError):
         normalize(negated_entry_table())
-    assert calls == []
+    assert calls == [] and evals == {True: 0, False: 0}
 
 
 def test_normalize_yang_gives_identity_certificate():
@@ -502,9 +514,6 @@ def test_normalize_rejects_bad_table():
     # a file may not claim the check already passed
     with pytest.raises(ValueError):
         MulTable.from_json(dict(bad.to_json(), lagrange_checked=True))
-    # behind the Lagrange gate, the passes must still reject the table
-    with pytest.raises(NormalizationError):
-        align_triple_products(bad, straighten_scalar_action(bad, kaplansky_unitize(bad)))
 
 
 def test_normalize_quadratic_identity_after_unitize():
@@ -544,11 +553,13 @@ def test_elduque_checks():
     assert not report["table_is_yang"]
 
 
-def test_table_json_round_trip():
-    yt = yang_table()
-    data = yt.to_json()
+@settings(max_examples=25, deadline=None)
+@given(tables)
+@example(yang_table())
+def test_table_json_round_trip(table):
+    data = table.to_json()
     assert set(data) == {"basis", "c"}
-    assert MulTable.from_json(data) == yt
+    assert MulTable.from_json(json.loads(json.dumps(data))) == table
     malformed = [
         {"basis": "other", "c": data["c"]},
         {"basis": data["basis"], "c": data["c"][:7]},
@@ -567,35 +578,33 @@ def test_table_json_round_trip():
             MulTable.from_json(bad)
 
 
-def test_certificate_json_round_trip():
-    rng = random.Random(56)
-    cert = EquivCertificate(*(random_nf(rng, 3) for _ in range(3)))
-    assert EquivCertificate.from_json(cert.to_json()) == cert
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_certificate_json_round_trip(rng):
+    # unit exponents up to the JSON bound 1024
+    cert = EquivCertificate(*(random_nf(rng, 1024) for _ in range(3)))
+    assert EquivCertificate.from_json(json.loads(json.dumps(cert.to_json()))) == cert
     with pytest.raises(ValueError):
         EquivCertificate.from_json({"sigma1": cert.sigma1.to_json()})
 
 
-# -- every reachable NormalizationError message, one crafted table each -----
+# -- every NormalizationError message, one crafted table each ---------------
 # Every crafted table fails the Lagrange identity, so only a direct pass
-# call reaches the check.
+# call, or normalize with check_lagrange forced open, reaches the passes.
 
 def doubled(e):
     return e * 2
 
 
-@pytest.mark.parametrize("entry", [(0, 1), (2, 0), (0, 6), (7, 0)])
+TRANSLATION = r"^translation by e0 is not orthogonal: "
+REPLAY = r"^composed certificate fails to replay to the Yang table$"
+KAPLANSKY_ENTRIES = [(0, 1), (2, 0), (0, 6), (7, 0)]
+
+
+@pytest.mark.parametrize("entry", KAPLANSKY_ENTRIES)
 def test_kaplansky_rejects_non_orthogonal_translation(entry):
-    with pytest.raises(NormalizationError,
-                       match=r"^translation by e0 is not orthogonal: "):
+    with pytest.raises(NormalizationError, match=TRANSLATION):
         kaplansky_unitize(edited_yang({entry: doubled}))
-
-
-@pytest.mark.parametrize("entry", [(0, 3), (3, 0), (0, 5), (6, 0)])
-def test_straighten_rejects_non_unital_input(entry):
-    # a negated identity entry: the translations stay orthogonal
-    with pytest.raises(NormalizationError,
-                       match=r"^straightening: e0 is not a two-sided identity$"):
-        straighten_scalar_action(edited_yang({entry: operator.neg}))
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -603,14 +612,6 @@ def test_straighten_rejects_unmatched_scalar_branch(i):
     with pytest.raises(NormalizationError,
                        match=rf"^\(z e0\) \* e{i} matches neither scalar-action branch$"):
         straighten_scalar_action(edited_yang({(4, i): doubled}))
-
-
-@pytest.mark.parametrize("j", [4, 5, 6, 7])
-def test_straighten_rejects_non_linear_scalar_action(j):
-    # (z e0) * e_i on the right branch for i < 4, but wrong on z e_{j-4}
-    with pytest.raises(NormalizationError,
-                       match=r"^left scalar action is not A-linear after straightening$"):
-        straighten_scalar_action(edited_yang({(4, j): operator.neg}))
 
 
 def test_align_rejects_e1e2_off_the_unit_sphere():
@@ -624,18 +625,39 @@ def test_align_rejects_e1e2_off_e3(k):
         align_triple_products(edited_yang({(1, 2): lambda _e: E(k)}))
 
 
-@pytest.mark.parametrize("entry, pair", [
-    ((2, 1), "e1, e2"), ((2, 3), "e2, e3"), ((3, 2), "e2, e3"),
-    ((3, 1), "e3, e1"), ((1, 3), "e3, e1")])
-def test_align_rejects_misaligned_triple_products(entry, pair):
-    with pytest.raises(NormalizationError,
-                       match=rf"^triple products not aligned at \({pair}\)$"):
-        align_triple_products(edited_yang({entry: operator.neg}))
+# (name, edits, message) for 26 crafted tables, each with the message by
+# which ``normalize`` refuses it once the Lagrange proof is forced open.  The
+# last 11 get through every step of the passes: only the replay sees their
+# fault.
+CRAFTED = [
+    *[(f"doubled {e}", {e: doubled}, TRANSLATION) for e in KAPLANSKY_ENTRIES],
+    *[(f"negated {e}", {e: operator.neg}, TRANSLATION)
+      for e in [(0, 3), (3, 0), (0, 5), (6, 0)]],
+    *[(f"doubled (4, {i})", {(4, i): doubled},
+       rf"^\(z e0\) \* e{i} matches neither scalar-action branch$") for i in [1, 2, 3]],
+    ("doubled (1, 2)", {(1, 2): doubled}, r"^e1\*e2 is not on the unit sphere: "),
+    *[(f"(1, 2) = e{k}", {(1, 2): lambda _e, k=k: E(k)},
+       r"^e1\*e2 is not a unit multiple of e3$") for k in [0, 1, 2]],
+    *[(f"negated {e}", {e: operator.neg}, REPLAY)
+      for e in [(4, 4), (4, 5), (4, 6), (4, 7), (2, 1), (2, 3), (3, 2), (3, 1), (1, 3),
+                (1, 2), (5, 6)]],
+]
 
 
-def test_normalize_rejects_a_table_the_passes_accept(monkeypatch):
-    # an entry no pass reads: with the Lagrange proof forced open, the
-    # three passes succeed and only the comparison with Yang's table fails
+@pytest.mark.parametrize("edits, message", [c[1:] for c in CRAFTED],
+                         ids=[c[0] for c in CRAFTED])
+def test_normalize_refuses_every_crafted_table(edits, message, tmp_path, monkeypatch, capsys):
+    # no table failing the Lagrange identity is equivalent to Yang's, so with
+    # the Lagrange proof forced open a pass or the replay refuses it, and the
+    # CLI writes no certificate
+    table = edited_yang(edits)
+    assert not check_lagrange(table).ok
     monkeypatch.setattr(multable, "check_lagrange", lambda table: LagrangeReport(True, 0))
-    with pytest.raises(NormalizationError, match=r"Yang table"):
-        normalize(edited_yang({(5, 6): operator.neg}))
+    with pytest.raises(NormalizationError, match=message) as info:
+        normalize(table)
+    table_file = tmp_path / "crafted.json"
+    table_file.write_text(json.dumps(table.to_json()))
+    assert cli.main(["normalize", str(table_file)]) == cli.EXIT_NORMALIZE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {info.value}\n"
+    assert list(tmp_path.iterdir()) == [table_file]

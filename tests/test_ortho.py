@@ -1,8 +1,10 @@
 """Tests for the orthogonal-group normal-form calculus."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangalg.laurent import Z, LaurentPoly, UnitA
 from yangalg.algebra import OctonionElt, norm, polar_q, random_oct, yang_mul
@@ -196,11 +198,12 @@ def test_sigma_subgroup_abelian():
         assert sv.compose(su) == product
 
 
-def test_json_round_trip():
-    rng = random.Random(37)
-    for _ in range(30):
-        phi = random_nf(rng, 4)
-        assert OrthoNF.from_json(phi.to_json()) == phi
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_json_round_trip(rng):
+    # unit exponents up to the JSON bound 1024
+    phi = random_nf(rng, 1024)
+    assert OrthoNF.from_json(json.loads(json.dumps(phi.to_json()))) == phi
     with pytest.raises(ValueError):
         OrthoNF.from_json({"u": [], "perm": [0, 1, 2, 3], "eps": [False] * 4})
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from yangalg.laurent import LaurentPoly
 from yangalg.sequences import (
+    QUAD_ENTRY_BOUND,
     brute_force_tseq,
     format_hadamard,
     format_quad_line,
@@ -257,24 +258,38 @@ def test_is_hadamard():
     assert is_hadamard([[1]])
 
 
-def test_quad_line_round_trip():
-    line = format_quad_line(LEN2)
-    assert line == "1,0;0,1;0,0;0,0"
-    assert parse_quad_line(line) == LEN2
+# Quads of length 1 to 5 with entries anywhere inside the bound.
+entries = st.integers(-QUAD_ENTRY_BOUND + 1, QUAD_ENTRY_BOUND - 1)
+quads = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    *[st.lists(entries, min_size=n, max_size=n).map(tuple)] * 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(quads)
+def test_quad_line_round_trip(quad):
+    assert parse_quad_line(format_quad_line(quad)) == quad
+    assert format_quad_line(LEN2) == "1,0;0,1;0,0;0,0"
     assert read_quads("1;1;1;1\n\n1,0;0,1;0,0;0,0\n") == [((1,), (1,), (1,), (1,)), LEN2]
     with pytest.raises(ValueError):
         parse_quad_line("1,0;0,1;0,0")
     with pytest.raises(ValueError):
         parse_quad_line("1,x;0,1;0,0;0,0")
+    for v in (QUAD_ENTRY_BOUND, -QUAD_ENTRY_BOUND, 10 ** 3000):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_quad_line(f"1;{v};0;0")
     with pytest.raises(ValueError):
         read_quads("\n\n")
 
 
-def test_hadamard_file_round_trip():
-    h = goethals_seidel((1,), (1,), (1,), (1,))
-    text = format_hadamard(h, [1, 1, 1, 1], True)
-    meta, matrix = parse_hadamard(text)
-    assert meta["order"] == 4 and meta["verified"] is True
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+           st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), min_size=n, max_size=n)),
+       st.lists(st.integers(1, 8), min_size=4, max_size=4))
+def test_hadamard_file_round_trip(rows, lengths):
+    # the format holds any square +/- array, Hadamard or not
+    h = np.array(rows, dtype=np.int64)
+    meta, matrix = parse_hadamard(format_hadamard(h, lengths))
+    assert meta == {"order": len(rows), "source_lengths": lengths, "verified": True}
     assert np.array_equal(matrix, h)
 
 
