@@ -143,10 +143,6 @@ class LaurentPoly:
             return self
         return _canonical(-self.hi, self.coeffs[::-1])
 
-    def is_symmetric(self) -> bool:
-        """True iff f lies in the fixed subring A0, i.e. f == f.conj()."""
-        return self == self.conj()
-
     def split_A0(self) -> tuple[LaurentPoly, LaurentPoly]:
         """Decompose f = g + h*z with g, h symmetric (A = A0 + A0*z).
 

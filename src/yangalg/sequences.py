@@ -18,14 +18,14 @@ back-diagonal matrix R, is the block array
     [ -CR  -D'R    A   B'R ]
     [ -DR   C'R  -B'R    A ]
 
-where X' is the transpose of X.
+where X' is the transpose of X.  A ±1 matrix is a tuple of int rows, which
+``is_hadamard`` checks as bit rows (a 1 where the entry is -1).
 """
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
+import re
 
 from .laurent import LaurentPoly
 from .algebra import OctonionElt, norm, yang_mul
@@ -204,18 +204,26 @@ def _paf(s, j: int) -> int:
     return sum(s[k] * s[(k + j) % n] for k in range(n))
 
 
-def _circulant(s) -> np.ndarray:
-    n = len(s)
-    m = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = s[(j - i) % n]
-    return m
+# The block array above, one (sequence a..d as 0..3, kind, sign) per block.
+# Row i of kind 0 is row i of the circulant X (the sequence rotated right by
+# i), of kind 1 of XR (that row reversed), of kind 2 of X'R (rotated left by i + 1).
+_GS_BLOCKS = (
+    ((0, 0, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1)),
+    ((1, 1, -1), (0, 0, 1), (3, 2, 1), (2, 2, -1)),
+    ((2, 1, -1), (3, 2, -1), (0, 0, 1), (1, 2, 1)),
+    ((3, 1, -1), (2, 2, 1), (1, 2, -1), (0, 0, 1)),
+)
 
 
-def goethals_seidel(a, b, c, d) -> np.ndarray:
-    """Assemble the 4n x 4n Goethals-Seidel block array from four ±1
-    sequences of length n whose periodic autocorrelations sum to zero at
+def _gs_block_row(s: tuple, kind: int, i: int) -> tuple:
+    shift = (i + 1 if kind == 2 else -i) % len(s)
+    row = s[shift:] + s[:shift]
+    return row[::-1] if kind == 1 else row
+
+
+def goethals_seidel(a, b, c, d) -> tuple[tuple[int, ...], ...]:
+    """Assemble the 4n x 4n Goethals-Seidel block array as int rows from four
+    ±1 sequences of length n whose periodic autocorrelations sum to zero at
     every nonzero shift (checked directly)."""
     seqs = [tuple(s) for s in (a, b, c, d)]
     n = len(seqs[0])
@@ -227,30 +235,28 @@ def goethals_seidel(a, b, c, d) -> np.ndarray:
         if sum(_paf(s, j) for s in seqs) != 0:
             raise ValueError(f"periodic autocorrelations do not cancel at shift {j}")
 
-    A, B, C, D = (_circulant(s) for s in seqs)
-    R = np.fliplr(np.eye(n, dtype=np.int64))
-    BR, CR, DR = B @ R, C @ R, D @ R
-    BtR, CtR, DtR = B.T @ R, C.T @ R, D.T @ R
-    return np.block([
-        [A, BR, CR, DR],
-        [-BR, A, DtR, -CtR],
-        [-CR, -DtR, A, BtR],
-        [-DR, CtR, -BtR, A],
-    ])
+    return tuple(
+        tuple(sign * v for q, kind, sign in blocks for v in _gs_block_row(seqs[q], kind, i))
+        for blocks in _GS_BLOCKS for i in range(n))
 
 
 def is_hadamard(h) -> bool:
-    """True iff the matrix has ±1 entries and H H^T = m I exactly."""
-    m = np.asarray(h, dtype=np.int64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    """True iff h is a nonempty square matrix with ±1 entries and H H^T = m I.
+
+    Each row is read as an m-bit int r with a 1 where the entry is -1.  Two
+    ±1 rows of length m that differ in d places have dot product (m - d) - d,
+    and d is the popcount of r_i ^ r_j; a row's dot product with itself is m.
+    So H H^T = m I iff every pair of rows i < j has 2 * popcount(r_i ^ r_j) == m."""
+    m = len(h)
+    if m < 1 or any(len(r) != m or any(v not in (1, -1) for v in r) for r in h):
         return False
-    if not np.all(np.abs(m) == 1):
-        return False
-    order = m.shape[0]
-    return bool(np.array_equal(m @ m.T, order * np.eye(order, dtype=np.int64)))
+    bits = [int("".join("1" if v == -1 else "0" for v in r), 2) for r in h]
+    return all(2 * (r ^ t).bit_count() == m for i, r in enumerate(bits) for t in bits[i + 1:])
 
 
 QUAD_ENTRY_BOUND = 2 ** 63
+# An optionally signed run of ASCII digits; int() would also read "1_0" or "١".
+_QUAD_ENTRY = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def parse_quad_line(line: str):
@@ -261,10 +267,10 @@ def parse_quad_line(line: str):
     parts = line.strip().split(";")
     if len(parts) != 4:
         raise ValueError("a quad line has four ;-separated sequences")
-    try:
-        seqs = tuple(tuple(int(v) for v in part.split(",")) for part in parts)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad quad entry: {exc}") from exc
+    bad = [v for v in line.replace(";", ",").split(",") if not _QUAD_ENTRY.fullmatch(v)]
+    if bad:
+        raise ValueError(f"bad quad entry: {bad[0]!r}")
+    seqs = tuple(tuple(int(v) for v in part.split(",")) for part in parts)
     if any(abs(v) >= QUAD_ENTRY_BOUND for s in seqs for v in s):
         raise ValueError(f"quad entry out of range: |entry| must be below {QUAD_ENTRY_BOUND}")
     _validate_quad_shape(seqs)
@@ -290,18 +296,14 @@ def read_quads(text: str):
 def format_hadamard(h, source_lengths) -> str:
     """The matrix file format: a JSON metadata line, then +/- rows.  Only a
     matrix that passed ``is_hadamard`` is written, so ``verified`` is true."""
-    m = np.asarray(h, dtype=np.int64)
-    meta = json.dumps({
-        "order": int(m.shape[0]),
-        "source_lengths": list(source_lengths),
-        "verified": True,
-    }, sort_keys=True)
-    rows = ["".join("+" if v > 0 else "-" for v in row) for row in m]
+    meta = json.dumps({"order": len(h), "source_lengths": list(source_lengths),
+                       "verified": True}, sort_keys=True)
+    rows = ["".join("+" if v > 0 else "-" for v in row) for row in h]
     return "\n".join([meta] + rows) + "\n"
 
 
 def parse_hadamard(text: str):
-    """Inverse of ``format_hadamard``; returns (metadata, matrix).
+    """Inverse of ``format_hadamard``; returns (metadata, tuple of ±1 rows).
 
     Raises ValueError unless the rows form a square +/- array whose size is
     the metadata ``order``."""
@@ -319,4 +321,4 @@ def parse_hadamard(text: str):
     order = meta.get("order")
     if type(order) is not int or order != len(rows):
         raise ValueError(f"metadata order {order!r} does not match {len(rows)} rows")
-    return meta, np.array([[1 if ch == "+" else -1 for ch in r] for r in rows], dtype=np.int64)
+    return meta, tuple(tuple(1 if ch == "+" else -1 for ch in r) for r in rows)

@@ -182,7 +182,7 @@ def test_criterion_9_combinatorial_pipeline():
             break
         a, b, c, d = to_pm1_quad(quads[0])
         h = goethals_seidel(a, b, c, d)
-        if h.shape != (4 * n, 4 * n) or not is_hadamard(h):
+        if len(h) != 4 * n or any(len(row) != 4 * n for row in h) or not is_hadamard(h):
             ok = False
             break
         orders.append(4 * n)

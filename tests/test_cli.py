@@ -1,7 +1,11 @@
 """Tests for the command-line front end and its exit-code contract."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -570,3 +574,66 @@ def test_quad_file_with_two_quads_exits_2(argv, tmp_path, capsys):
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert "2 quads" in captured.err
+
+
+def _edited(doc: dict, edit) -> str:
+    data = json.loads(json.dumps(doc))
+    edit(data)
+    return json.dumps(data)
+
+
+def _fuzz_cases():
+    """(command, case, file content) for every input file a command reads:
+    the table of ``normalize``, the normal forms of ``twist`` and the quad
+    files of ``hadamard`` and ``compose``."""
+    table, nf = yang_table().to_json(), OrthoNF.identity().to_json()
+    json_cases = {
+        "empty": ("", ""),
+        "truncated": (json.dumps(table)[:900], json.dumps(nf)[:60]),
+        "scalar": ("3", "3"),
+        "null": ("null", "null"),
+        "list": ("[1, 2]", "[1, 2]"),
+        "non-utf8": (b"\xff\xfe{", b"\xff\xfe{"),
+        "bool-int": (_edited(table, lambda t: t["c"][0][0]["x"][0].update(lo=True)),
+                     _edited(nf, lambda n: n["u"][0].update(exp=True))),
+        "float-int": (_edited(table, lambda t: t["c"][0][0]["x"][0].update(coeffs=[1.0])),
+                      _edited(nf, lambda n: n["u"][0].update(exp=0.0))),
+    }
+    for case, (table_text, nf_text) in json_cases.items():
+        yield "normalize", case, table_text
+        yield "twist", case, nf_text
+    yield "twist", "perm-range", _edited(nf, lambda n: n.update(perm=[0, 1, 2, 4]))
+    yield "twist", "int-eps", _edited(nf, lambda n: n.update(eps=[0, 0, 0, 0]))
+    yield "twist", "u-not-list", _edited(nf, lambda n: n.update(u={"sign": 1, "exp": 0}))
+    quad_cases = {
+        "empty": "", "non-utf8": b"\xff\xfe1;0;0;0\n", "three-seqs": "1;0;0\n",
+        "float-entry": "1.0;0;0;0\n", "blank-entry": "1,;0,0;0,0;0,0\n",
+        "mismatched": "1,0;0;0;0\n", "underscore": "1_0;0;0;0\n",
+        "arabic-digit": "\u0661;0;0;0\n",
+    }
+    for case, text in quad_cases.items():
+        yield "hadamard", case, text
+        yield "compose", case, text
+
+
+@pytest.mark.parametrize("command, content", [(c, t) for c, _, t in _fuzz_cases()],
+                         ids=[f"{c}-{case}" for c, case, _ in _fuzz_cases()])
+def test_malformed_input_exits_2(command, content, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    out = str(tmp_path / "out")
+    argv = {"normalize": [bad, "--out", out], "twist": [bad, bad, bad, "--out", out],
+            "hadamard": [bad, "--out", out], "compose": [bad, bad]}[command]
+    assert main([command, *map(str, argv)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+def test_cli_import_loads_no_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, yangalg.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout == "False\n"

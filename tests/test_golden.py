@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` hold the ``normalize`` certificates of 43
 Lagrange-valid tables, exit 3's stderr for 96 tables that fail the Lagrange
-identity, and one ``--format json verify`` report.  A change that alters one
+identity, one ``--format json verify`` report, and the Hadamard matrix files
+of ``hadamard --search n`` with a hash of every T-sequence search's output.  A change that alters one
 of these outputs on purpose regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -11,6 +12,7 @@ and says why in CHANGES.md; every other change must pass unchanged.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -22,6 +24,7 @@ from yangalg import cli
 from yangalg.algebra import cd_oct_mul, oct_conj, yang_mul, yang_mul_with_sign_flip
 from yangalg.multable import MulTable, check_lagrange, normalize, table_of, twist, yang_table
 from yangalg.ortho import random_nf
+from yangalg.sequences import brute_force_tseq, format_quad_line
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -86,8 +89,26 @@ def verify_report(_work: Path) -> str:
     return f"exit {code}\n{out}"
 
 
+def hadamard_files(work: Path) -> str:
+    """Per n = 1..8: the exit code and the exact file of ``hadamard --search
+    n``; per n = 1..7: the sha256 of every quad ``brute_force_tseq(n)``
+    returns, one quad line each, in the returned order."""
+    blocks = []
+    for n in range(1, 9):
+        path = work / f"hadamard_{n}.txt"
+        code, _out, _err = run_cli(["hadamard", "--search", str(n), "--out", str(path)])
+        blocks.append(f"# hadamard --search {n}: exit {code}\n{path.read_text()}")
+    for n in range(1, 8):
+        quads = brute_force_tseq(n)
+        lines = "".join(format_quad_line(q) + "\n" for q in quads)
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        blocks.append(f"# brute_force_tseq({n}): {len(quads)} quads, sha256 {digest}\n")
+    return "".join(blocks)
+
+
 ARTIFACTS = {
     "certificates.txt": certificates,
+    "hadamard.txt": hadamard_files,
     "lagrange_witnesses.txt": lagrange_witnesses,
     "verify.txt": verify_report,
 }

@@ -224,9 +224,26 @@ def test_to_pm1_quad():
         to_pm1_quad(((1, 1), (0, 0), (0, 0), (0, 0)))
 
 
+def _np_goethals_seidel(a, b, c, d):
+    """The docstring's block array built with numpy, as the oracle."""
+    n = len(a)
+    A, B, C, D = (np.array([[s[(j - i) % n] for j in range(n)] for i in range(n)])
+                  for s in (a, b, c, d))
+    R = np.fliplr(np.eye(n, dtype=np.int64))
+    return np.block([[A, B @ R, C @ R, D @ R],
+                     [-B @ R, A, D.T @ R, -C.T @ R],
+                     [-C @ R, -D.T @ R, A, B.T @ R],
+                     [-D @ R, C.T @ R, -B.T @ R, A]])
+
+
+def _np_is_hadamard(h):
+    m = np.array(h, dtype=np.int64)
+    return bool(np.all(np.abs(m) == 1) and np.array_equal(m @ m.T, len(m) * np.eye(len(m))))
+
+
 def test_goethals_seidel_order_4():
     h = goethals_seidel((1,), (1,), (1,), (1,))
-    assert h.shape == (4, 4)
+    assert len(h) == 4 and all(len(row) == 4 for row in h)
     assert is_hadamard(h)
 
 
@@ -242,12 +259,14 @@ def test_goethals_seidel_rejects():
 
 def test_pipeline_through_order_16():
     for n in (1, 2, 3, 4):
-        quads = brute_force_tseq(n, limit=1)
+        quads = brute_force_tseq(n, limit=20)
         assert quads
-        a, b, c, d = to_pm1_quad(quads[0])
-        h = goethals_seidel(a, b, c, d)
-        assert h.shape == (4 * n, 4 * n)
-        assert is_hadamard(h)
+        for quad in quads:
+            a, b, c, d = to_pm1_quad(quad)
+            h = goethals_seidel(a, b, c, d)
+            assert len(h) == 4 * n and all(len(row) == 4 * n for row in h)
+            assert np.array_equal(np.array(h), _np_goethals_seidel(a, b, c, d))
+            assert is_hadamard(h)
 
 
 def test_is_hadamard():
@@ -256,6 +275,21 @@ def test_is_hadamard():
     assert not is_hadamard([[1, 1], [1, 1]])
     assert not is_hadamard([[1, 1, 1], [1, -1, 1]])
     assert is_hadamard([[1]])
+    # empty, ragged, a 0 entry and a 2 entry
+    for h in ([], [[]], [[1, 1], [1]], [[1], [1, -1]], [[0]], [[2]],
+              [[1, 1], [1, 0]], [[1, 1], [1, 2]], [[1, 1], [-1, 2]]):
+        assert not is_hadamard(h)
+    # the pipeline matrices, as the numpy oracle H H^T == m I says
+    pipeline = [goethals_seidel(*to_pm1_quad(brute_force_tseq(n, limit=1)[0]))
+                for n in range(1, 9)]
+    for h in pipeline:
+        assert is_hadamard(h) and _np_is_hadamard(h)
+    # at order 24 every single-entry flip is refused by both
+    rows = [list(row) for row in pipeline[5]]
+    for i, j in itertools.product(range(24), repeat=2):
+        rows[i][j] = -rows[i][j]
+        assert not is_hadamard(rows) and not _np_is_hadamard(rows)
+        rows[i][j] = -rows[i][j]
 
 
 # Quads of length 1 to 5 with entries anywhere inside the bound.
@@ -274,6 +308,12 @@ def test_quad_line_round_trip(quad):
         parse_quad_line("1,0;0,1;0,0")
     with pytest.raises(ValueError):
         parse_quad_line("1,x;0,1;0,0;0,0")
+    # int() reads "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1; the
+    # quad format reads none of these
+    for entry in ("1_0", "\u0661", "1.0", "", "0x1"):
+        with pytest.raises(ValueError, match="bad quad entry"):
+            parse_quad_line(f"{entry};0;0;0")
+    assert parse_quad_line(" +1 ; -0;0\t;01") == ((1,), (0,), (0,), (1,))
     for v in (QUAD_ENTRY_BOUND, -QUAD_ENTRY_BOUND, 10 ** 3000):
         with pytest.raises(ValueError, match="out of range"):
             parse_quad_line(f"1;{v};0;0")
@@ -287,10 +327,11 @@ def test_quad_line_round_trip(quad):
        st.lists(st.integers(1, 8), min_size=4, max_size=4))
 def test_hadamard_file_round_trip(rows, lengths):
     # the format holds any square +/- array, Hadamard or not
-    h = np.array(rows, dtype=np.int64)
+    h = tuple(map(tuple, rows))
     meta, matrix = parse_hadamard(format_hadamard(h, lengths))
     assert meta == {"order": len(rows), "source_lengths": lengths, "verified": True}
-    assert np.array_equal(matrix, h)
+    assert matrix == h
+    assert is_hadamard(h) == _np_is_hadamard(h)
 
 
 @pytest.mark.parametrize("text", [
