@@ -26,6 +26,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -35,13 +36,11 @@ from .algebra import (
     iso_cd_to_yang,
     cd_oct_mul,
     norm,
-    oct_conj,
-    polar_q,
     thakur_mul,
     trace,
     yang_mul,
 )
-from .laurent import LaurentPoly
+from .laurent import Z, Z_INV, LaurentPoly
 from .multable import (
     PROOF_POINTS,
     EquivCertificate,
@@ -97,6 +96,19 @@ def run_verify(config: RunConfig, mul=None):
     argument, b_i and b_i + b_j for a quadratic one.  The suite stops at the
     first failing point, the counterexample.  Nothing is sampled: ``seed``
     and ``trials`` are only echoed.
+
+    ``lagrange``, ``alternative_laws``, ``quadratic``, ``linearized_trace``,
+    ``adjoint`` and ``elduque`` read the entries of ``table_of(mul)``.  The
+    Lagrange, alternative and adjoint proofs compare packed integers
+    (``multable.check_lagrange``, ``alternative_failures`` and
+    ``adjoint_failures``), each with a digit width that its docstring
+    proves holds every coefficient of both sides and of their difference,
+    so one integer comparison decides one point exactly.  ``mul`` is called
+    130 times: 64 to build the table, once by ``bilinear``, which ties it to
+    the table, and 65 times by ``cd_yang_iso_*``, which compare it with the
+    Cayley-Dickson product; ``thakur_agreement`` compares the table with
+    ``thakur_mul``.  These cross-checks go through the independently
+    written products on purpose.
     """
     identities = {}
     for name, points, failures in _proofs(mul or yang_mul):
@@ -121,15 +133,13 @@ def _proofs(mul):
                           if mul(x, y) != table.eval(x, y))
     yield "lagrange", len(PROOF_POINTS) ** 2, (
         _oct_pair_json(*r.witness) for r in map(multable.check_lagrange, [table]) if not r.ok)
+    yield "alternative_laws", 2 * 8 * len(PROOF_POINTS), _alternative_failures(table)
     prod = point_products(table)
-    yield "alternative_laws", 2 * 8 * len(PROOF_POINTS), _alternative_failures(mul, prod)
     yield "quadratic", len(PROOF_POINTS), (
         {"x": x.to_json()} for p, x in zip(PROOF_POINTS, map(proof_point, PROOF_POINTS))
         if not (prod(p, p) - trace(x) * x + norm(x) * _E0).is_zero())
-    yield "linearized_trace", 64, (
-        _oct_pair_json(x, y) for (i, x), (j, y) in _BASIS_PAIRS
-        if c[i][j] + c[j][i] != trace(x) * y + trace(y) * x - polar_q(x, y) * _E0)
-    yield "adjoint", 512, _adjoint_failures(mul, c)
+    yield "linearized_trace", 64, _linearized_trace_failures(c)
+    yield "adjoint", 512, _adjoint_failures(table)
     yield "thakur_agreement", 64, (_oct_pair_json(x, y) for (i, x), (j, y) in _BASIS_PAIRS
                                    if thakur_mul(x, y) != c[i][j])
     yield "cd_yang_iso_basis", 64, _cd_iso_failures(mul, product(TBASIS, repeat=2))
@@ -143,27 +153,36 @@ def _cd_iso_failures(mul, pairs):
             if iso_cd_to_yang(cd_oct_mul(x, y)) != mul(iso_cd_to_yang(x), iso_cd_to_yang(y)))
 
 
-def _alternative_failures(mul, prod):
+def _alternative_failures(table):
     """x(xy) = (xx)y and (yx)x = y(xx), quadratic in x and linear in y; a
     witness names x and y as in x(xy) = (xx)y and (xy)y = x(yy)."""
-    for p in PROOF_POINTS:
-        x, xx = proof_point(p), prod(p, p)
-        for k, b in enumerate(TBASIS):
-            if mul(x, prod(p, (k,))) != mul(xx, b):
-                yield _oct_pair_json(x, b)
-            if mul(prod((k,), p), x) != mul(b, xx):
-                yield _oct_pair_json(b, x)
+    return (_oct_pair_json(proof_point(p), proof_point(q))
+            for p, q in multable.alternative_failures(table))
 
 
-def _adjoint_failures(mul, c):
+@cache
+def _linearized_trace_values() -> tuple[OctonionElt, ...]:
+    """T(x) y + T(y) x - Q(x, y) e0 for the basis pairs of ``_BASIS_PAIRS``:
+    T(b_i) is 2 for e0, t = z + z^-1 for z e0 and 0 otherwise, and Q(b_i,
+    b_j) is 0 unless i = j mod 4, then 2 if i = j and t otherwise."""
+    t = Z + Z_INV
+    traces = (2, 0, 0, 0, t, 0, 0, 0)
+    return tuple(traces[i] * y + traces[j] * x - (0 if (i - j) % 4 else 2 if i == j else t) * _E0
+                 for (i, x), (j, y) in _BASIS_PAIRS)
+
+
+def _linearized_trace_failures(c):
+    """xy + yx = T(x) y + T(y) x - Q(x, y) e0 on basis pairs, whose right
+    side holds only basis values."""
+    return (_oct_pair_json(x, y)
+            for ((i, x), (j, y)), v in zip(_BASIS_PAIRS, _linearized_trace_values())
+            if c[i][j] + c[j][i] != v)
+
+
+def _adjoint_failures(table):
     """Q(xy, w) = Q(x, w y*) = Q(y, x* w) on basis triples; w is named z."""
-    conj = [oct_conj(b) for b in TBASIS]
-    w_yc = [[mul(w, yc) for yc in conj] for w in TBASIS]
-    xc_w = [[mul(xc, w) for w in TBASIS] for xc in conj]
-    for ((i, x), (j, y)), (k, w) in product(_BASIS_PAIRS, enumerate(TBASIS)):
-        q = polar_q(c[i][j], w)
-        if polar_q(x, w_yc[k][j]) != q or polar_q(y, xc_w[i][k]) != q:
-            yield {"x": x.to_json(), "y": y.to_json(), "z": w.to_json()}
+    return ({"x": TBASIS[i].to_json(), "y": TBASIS[j].to_json(), "z": TBASIS[l].to_json()}
+            for i, j, l in multable.adjoint_failures(table))
 
 
 def _emit_report(report: dict, config: RunConfig):

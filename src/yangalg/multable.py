@@ -252,6 +252,24 @@ def _point_norms() -> dict:
     return {p: norm(proof_point(p)) for p in PROOF_POINTS}
 
 
+def _extent(polys, lo: int = 0, hi: int = 0) -> tuple[int, int, int]:
+    """``(lo, hi, m)``: the exponent span of the nonzero ``polys``, widened to
+    contain the given [lo, hi], and their largest absolute coefficient."""
+    m = 0
+    for f in polys:
+        c = f.coeffs
+        if c:
+            lo = min(lo, f.lo)
+            hi = max(hi, f.lo + len(c) - 1)
+            m = max(m, max(c), -min(c))
+    return lo, hi, m
+
+
+def _coords(table: MulTable):
+    """Every coordinate of every entry of ``table``."""
+    return (f for row in table.c for e in row for f in e.coords)
+
+
 def _packed_norms(table: MulTable):
     """The packed domain of ``check_lagrange``: ``(k, lo, hi, nprod)``,
     where ``nprod(p, q)`` is the value at z = 2^k of z^(hi-lo) N(p*q) for
@@ -265,15 +283,7 @@ def _packed_norms(table: MulTable):
     Packing is additive, so the row of p = b_i + b_j is the sum of the
     rows of b_i and b_j; each row is packed on first use.
     """
-    lo, hi, m = -1, 1, 0
-    for row in table.c:
-        for e in row:
-            for f in e.coords:
-                c = f.coeffs
-                if c:
-                    lo = min(lo, f.lo)
-                    hi = max(hi, f.lo + len(c) - 1)
-                    m = max(m, max(c), -min(c))
+    lo, hi, m = _extent(_coords(table), -1, 1)
     k = max(64 * (hi - lo + 1) * m * m, 6).bit_length() + 1
     c = table.c
 
@@ -290,6 +300,132 @@ def _packed_norms(table: MulTable):
         return u[0] * u[4] + u[1] * u[5] + u[2] * u[6] + u[3] * u[7]
 
     return k, lo, hi, nprod
+
+
+def _packed_associators(table: MulTable):
+    """The packed domain of ``alternative_failures``: ``(k, assoc)``, a flat
+    list with ``assoc[64 i + 8 j + l]`` the associator (b_i b_j) b_l -
+    b_i (b_j b_l) of a basis triple, packed as one int.
+
+    Let the table's entry coordinates span the exponents [lo, hi] with
+    coefficients at most m in absolute value, and their A0-coordinates
+    (``_expand``, at most 8 per entry) span [-d, d], with s the largest sum
+    of the absolute coefficients of one entry's A0-coordinates.  An element
+    is packed with coordinate n in the n-th slot of w = hi - lo + 2d + 1
+    digits of k bits: an entry e as ``sum(pack(e_n, k, lo) << k w n)`` and
+    a scalar a as ``pack(a, k, -d)``.  Then ``pack(a) * pack(e)`` is a e
+    packed with z^(d - lo) a e_n in slot n, which fits, as a e_n spans
+    [lo - d, hi + d].  By A0-bilinearity (b_i b_j) b_l = sum(a b_n b_l)
+    over the A0-coordinates a b_n of b_i b_j, and b_i (b_j b_l) =
+    sum(a b_i b_n) over those of b_j b_l: each triple product sums at most
+    8 products of a packed scalar and a packed entry.
+    """
+    c = table.c
+    lo, hi, m = _extent(_coords(table))
+    expansions = [_expand(e) for row in c for e in row]
+    d = _extent(a for x in expansions for _n, a in x)[1]
+    s = max(sum(abs(v) for _n, a in x for v in a.coeffs) for x in expansions)
+    k = (8 * s * m).bit_length() + 1
+    w = k * (hi - lo + 2 * d + 1)
+    packed = [sum(pack(f, k, lo) << w * n for n, f in enumerate(e.coords))
+              for row in c for e in row]
+    scalars = [[(n, pack(a, k, -d)) for n, a in x] for x in expansions]
+    i_jl = [sum(a * packed[8 * i + n] for n, a in x) for i in range(8) for x in scalars]
+    return k, [sum(a * packed[8 * n + l] for n, a in x) - i_jl[8 * ij + l]
+               for ij, x in enumerate(scalars) for l in range(8)]
+
+
+def alternative_failures(table: MulTable):
+    """Yield the failing points ``(x, y)`` of x(xy) = (xx)y and (xy)y =
+    x(yy), as proof point index tuples, for the product of ``table``.
+
+    Both laws are quadratic in one argument and linear in the other, so
+    they hold everywhere iff they hold for x a proof point p and y a basis
+    element b_l, and for x = b_l and y = p.  For p the sum of the b_i with
+    i in p, A0-trilinearity of the associator [x, y, w] = (xy)w - x(yw)
+    gives (xx) b_l - x(x b_l) = sum([b_i, b_j, b_l]) and (b_l x) x -
+    b_l (xx) = sum([b_l, b_i, b_j]) over i, j in p: each law is a sum of
+    at most 4 of the packed associators of ``_packed_associators`` compared
+    with 0.  Per proof point, the left law at b_l, then the right law at
+    b_l, for l = 0..7.
+
+    The comparison is exact.  A coefficient of a e_n is at most |a|_1 m,
+    |a|_1 the sum of a's absolute coefficients, so a triple product's
+    coefficients are at most s m, a side's (a sum of at most 4) at most
+    4 s m, and the difference of the two sides at most 8 s m in absolute
+    value.  With ``k = (8 s m).bit_length() + 1`` all of these lie strictly
+    between -2^(k-1) and 2^(k-1), so the difference is its coordinates
+    written in balanced k-bit digits, slot by slot.  A nonzero balanced
+    digit string is a nonzero int, as its lowest nonzero digit is not a
+    multiple of 2^k; so the sum is 0 iff the two sides are equal.
+    """
+    _k, assoc = _packed_associators(table)
+    for p in PROOF_POINTS:
+        pairs = [8 * i + j for i in p for j in p]
+        for l in range(8):
+            if sum(assoc[8 * ij + l] for ij in pairs):
+                yield p, (l,)
+            if sum(assoc[64 * l + ij] for ij in pairs):
+                yield (l,), p
+
+
+def _packed_polars(table: MulTable):
+    """The packed domain of ``adjoint_failures``: ``(k, q)``, a flat list
+    with ``q[64 i + 8 j + n]`` the value at z = 2^k of z^(D+2) Q(b_i b_j, b_n),
+    D the largest absolute exponent of an entry coordinate.
+
+    For b_n = z^s e_m, Q(v, b_n) = z^s v_m* + z^-s v_m, a read of one
+    coordinate: with v_m and v_m* packed as the values V and V* of
+    z^(D+2) v_m and z^(D+2) v_m*, which have no exponent below 2, it is
+    ``V* + V`` for s = 0 and ``(V* << k) + (V >> k)`` for s = 1.
+    """
+    lo, hi, m = _extent(_coords(table))
+    base = -max(-lo, hi) - 2
+    k = (8 * m).bit_length() + 1
+    q = []
+    for row in table.c:
+        for e in row:
+            v = [pack(f, k, base) for f in e.coords]
+            vc = [pack(f.conj(), k, base) for f in e.coords]
+            q += [a + b for a, b in zip(vc, v)]
+            q += [(a << k) + (b >> k) for a, b in zip(vc, v)]
+    return k, q
+
+
+def adjoint_failures(table: MulTable):
+    """Yield the basis index triples ``(i, j, l)`` at which Q(xy, w) =
+    Q(x, w y*) = Q(y, x* w) fails for x = b_i, y = b_j, w = b_l, in that
+    order.  The law is A0-linear in each argument, so these 512 points
+    prove it.
+
+    Every value of the law is read off the table: b_i* is b_i for e0, -b_i
+    for e1..e3 and z e1..z e3, and (z e0)* = t e0 - z e0 with t = z + z^-1,
+    so b_i* b_l and b_l b_j* are A0-combinations of entries.  As Q is
+    A0-bilinear and symmetric, Q(b_i* b_l, b_j) is q(i, l, j), -q(i, l, j)
+    or t q(0, l, j) - q(4, l, j) in the packed reads q of
+    ``_packed_polars``, and likewise Q(b_l b_j*, b_i); multiplying by t is
+    ``(P << k) + (P >> k)``, exact as P has no digit at z^0.
+
+    Each comparison is exact: a coefficient of Q(v, b_n) sums at most two
+    coefficients of v, so it is at most 2m, m the largest entry
+    coefficient; a combination with t is at most 4m + 2m, and its
+    difference with a read at most 8m.  With ``k = (8m).bit_length() + 1``
+    all of these lie strictly between -2^(k-1) and 2^(k-1), so, as in
+    ``alternative_failures``, the two ints are equal iff the two values are.
+    """
+    k, q = _packed_polars(table)
+
+    def star(r, v, v0):
+        """Q(.. b_r* ..) from v = Q(.. b_r ..) and v0 = Q(.. b_0 ..)."""
+        if r == 4:
+            return (v0 << k) + (v0 >> k) - v
+        return v if r == 0 else -v
+
+    for i, j, l in product(range(8), repeat=3):
+        v = q[64 * i + 8 * j + l]
+        if (star(j, q[64 * l + 8 * j + i], q[64 * l + i]) != v
+                or star(i, q[64 * i + 8 * l + j], q[8 * l + j]) != v):
+            yield i, j, l
 
 
 def check_lagrange(table: MulTable) -> LagrangeReport:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -171,23 +172,47 @@ def test_every_proof_refutes_sign_flips():
         assert refuted == expected, fault
 
 
-@pytest.mark.parametrize("k", [1, 6, 11])
+# The oracle products of the table-read proofs: the 48 single-term mutants,
+# so that index k < 16 is yang_mul_with_sign_flip(k), then six twisted Yang
+# products, which are bilinear but not built from a term table.
+_TWIST_RNG = random.Random(17)
+ORACLE_PRODUCTS = [(fault, term_mul(terms)) for fault, terms in MUTANTS] + [
+    (f"twisted {n}", multable.twisted(yang_table(), *(random_nf(_TWIST_RNG) for _ in range(3))))
+    for n in range(6)]
+
+
+@pytest.mark.parametrize("k", range(len(ORACLE_PRODUCTS)))
 def test_alternative_proof_yields_every_failing_point(k):
     # both laws on every proof point, against the products computed through
-    # mul itself rather than summed from table rows
-    mul = yang_mul_with_sign_flip(k)
+    # mul itself rather than read from the table
+    mul = ORACLE_PRODUCTS[k][1]
     expected, right_law_failures = [], 0
     for p in multable.PROOF_POINTS:
         x = multable.proof_point(p)
+        xx = mul(x, x)
         for b in TBASIS:
-            if mul(x, mul(x, b)) != mul(mul(x, x), b):
+            if mul(x, mul(x, b)) != mul(xx, b):
                 expected.append({"x": x.to_json(), "y": b.to_json()})
-            if mul(mul(b, x), x) != mul(b, mul(x, x)):
+            if mul(mul(b, x), x) != mul(b, xx):
                 expected.append({"x": b.to_json(), "y": x.to_json()})
                 right_law_failures += 1
     assert right_law_failures > 0
-    products = multable.point_products(table_of(mul))
-    assert list(cli._alternative_failures(mul, products)) == expected
+    assert list(cli._alternative_failures(table_of(mul))) == expected
+
+
+@pytest.mark.parametrize("k", range(len(ORACLE_PRODUCTS)))
+def test_adjoint_proof_yields_every_failing_point(k):
+    # Q(xy, w) = Q(x, w y*) = Q(y, x* w) on every basis triple, through mul,
+    # oct_conj and polar_q rather than read from the table; x0 y0 with its
+    # sign flipped is the one fault that keeps the law
+    fault, mul = ORACLE_PRODUCTS[k]
+    expected = []
+    for x, y, w in product(TBASIS, repeat=3):
+        q = polar_q(mul(x, y), w)
+        if polar_q(x, mul(w, oct_conj(y))) != q or polar_q(y, mul(oct_conj(x), w)) != q:
+            expected.append({"x": x.to_json(), "y": y.to_json(), "z": w.to_json()})
+    assert bool(expected) == (fault != "sign 0")
+    assert list(cli._adjoint_failures(table_of(mul))) == expected
 
 
 def test_verify_probes_bilinearity():
@@ -629,6 +654,44 @@ def test_malformed_input_exits_2(command, content, tmp_path, capsys):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("n", ["0", "-3", "9"])
+def test_hadamard_search_out_of_range_exits_2(n, tmp_path, monkeypatch, capsys):
+    # the search covers lengths 1..8; no matrix file appears, not even at
+    # the default output path
+    monkeypatch.chdir(tmp_path)
+    assert main(["hadamard", "--search", n]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [10**30, -5])
+def test_twist_accepts_any_seed(seed, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    argv = ["--seed", str(seed), "twist", "random", "random", "random", "--out", str(out)]
+    assert main(argv) == cli.EXIT_OK
+    table = MulTable.from_json(json.loads(out.read_text()))
+    triple = EquivCertificate.from_json(json.loads(out.with_suffix(".triple.json").read_text()))
+    assert twist(yang_table(), *triple) == table
+    first = out.read_bytes()
+    assert main(argv) == cli.EXIT_OK and out.read_bytes() == first
+
+
+@pytest.mark.parametrize("flags", [["--trials", "abc"], ["--format", "xml"]])
+def test_verify_rejected_flag_exits_2(flags, capsys):
+    # argparse rejects the flag: its usage text, then one error line
+    with pytest.raises(SystemExit) as exc:
+        main([*flags, "verify"])
+    assert exc.value.code == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: yangalg ")
+    assert [line for line in lines if "error:" in line] == [lines[-1]]
+    assert lines[-1].startswith(f"yangalg: error: argument {flags[0]}: ")
 
 
 def test_cli_import_loads_no_numpy():

@@ -2,8 +2,10 @@
 
 The files under ``tests/golden/`` hold the ``normalize`` certificates of 43
 Lagrange-valid tables, exit 3's stderr for 96 tables that fail the Lagrange
-identity, one ``--format json verify`` report, and the Hadamard matrix files
-of ``hadamard --search n`` with a hash of every T-sequence search's output.  A change that alters one
+identity, one ``--format json verify`` report with hashes of every single-term
+mutant's report and failure lists, and the Hadamard matrix files of
+``hadamard --search n`` with a hash of every T-sequence search's output.  A
+change that alters one
 of these outputs on purpose regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,10 +23,11 @@ from pathlib import Path
 import pytest
 
 from yangalg import cli
-from yangalg.algebra import cd_oct_mul, oct_conj, yang_mul, yang_mul_with_sign_flip
+from yangalg.algebra import cd_oct_mul, oct_conj, term_mul, yang_mul, yang_mul_with_sign_flip
 from yangalg.multable import MulTable, check_lagrange, normalize, table_of, twist, yang_table
 from yangalg.ortho import random_nf
 from yangalg.sequences import brute_force_tseq, format_quad_line
+from mutants import single_term_mutants
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -58,11 +61,15 @@ def lagrange_failures():
             negated[k], *(random_nf(rng, 3) for _ in range(3)))
 
 
-def run_cli(argv) -> tuple[int, str, str]:
+def run_cli_with(command) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        code = command()
     return code, out.getvalue(), err.getvalue()
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    return run_cli_with(lambda: cli.main(argv))
 
 
 def certificates(_work: Path) -> str:
@@ -89,6 +96,29 @@ def verify_report(_work: Path) -> str:
     return f"exit {code}\n{out}"
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def verify_mutants(_work: Path) -> str:
+    """Per single-term mutant: the exit code and the sha256 of ``verify``'s
+    ``--format json`` report, then, per identity run on its own through
+    ``cli._proofs``, the number of failing points and the sha256 of the full
+    failure list, in proof order, as sorted-key JSON."""
+    blocks = []
+    for name, terms in single_term_mutants():
+        mul = term_mul(terms)
+        code, out, _err = run_cli_with(lambda: cli.cmd_verify(
+            cli.RunConfig(seed=7, output_format="json"), mul=mul))
+        lines = [f"# {name}: exit {code}, report sha256 {_sha256(out)}\n"]
+        for identity, _points, failures in cli._proofs(mul):
+            failures = list(failures)
+            lines.append(f"{identity} {len(failures)} "
+                         f"{_sha256(json.dumps(failures, sort_keys=True))}\n")
+        blocks.append("".join(lines))
+    return "".join(blocks)
+
+
 def hadamard_files(work: Path) -> str:
     """Per n = 1..8: the exit code and the exact file of ``hadamard --search
     n``; per n = 1..7: the sha256 of every quad ``brute_force_tseq(n)``
@@ -111,6 +141,7 @@ ARTIFACTS = {
     "hadamard.txt": hadamard_files,
     "lagrange_witnesses.txt": lagrange_witnesses,
     "verify.txt": verify_report,
+    "verify_mutants.txt": verify_mutants,
 }
 
 

@@ -3,6 +3,7 @@
 import json
 import operator
 import random
+from functools import cache
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from yangalg.algebra import (
     cd_oct_mul,
     iso_cd_to_yang,
     norm,
+    polar_q,
     random_oct,
     term_mul,
     thakur_mul,
@@ -353,6 +355,79 @@ def test_packed_norms_are_balanced_digits(table):
     prod = point_products(table)
     for p, q in multable._proof_pairs():
         assert _unpack(nprod(p, q), k, lo - hi) == norm(prod(p, q))
+
+
+def sign_table(seed: int, m: int, lo: int, width: int) -> MulTable:
+    """Every entry coordinate is m z^lo times a polynomial of degree at most
+    ``width`` with coefficients 1, -1 and (rarely) 0, drawn from ``seed``.
+    Equal magnitudes line up in the packed sums: constant entries (``width``
+    0) bring the alternative laws and width 1 the adjoint law close to the
+    worst case of their digit widths."""
+    rng = random.Random(seed)
+    return MulTable([[OctonionElt(*(LaurentPoly(lo, [m * rng.choice((1, -1, 1, -1, 0))
+                                                     for _ in range(width + 1)])
+                                    for _ in range(4))) for _ in range(8)] for _ in range(8)])
+
+
+def largest_coeff(*polys) -> int:
+    return max((abs(c) for f in polys for c in f.coeffs), default=0)
+
+
+def alternative_oracle(table):
+    """The failing points of x(xy) = (xx)y and (xy)y = x(yy), in the order
+    of ``alternative_failures``, with both sides through ``MulTable.eval``;
+    and the largest coefficient of a side or of the difference of two."""
+    ev, failures, top = table.eval, [], 0
+    for p in PROOF_POINTS:
+        x = proof_point(p)
+        xx = ev(x, x)
+        for l, b in enumerate(TBASIS):
+            for u, v, point in ((ev(x, ev(x, b)), ev(xx, b), (p, (l,))),
+                                (ev(ev(b, x), x), ev(b, xx), ((l,), p))):
+                top = max(top, largest_coeff(*u.coords, *v.coords, *(u - v).coords))
+                if u != v:
+                    failures.append(point)
+    return failures, top
+
+
+def adjoint_oracle(table):
+    """The failing triples (i, j, l) of Q(xy, w) = Q(x, w y*) = Q(y, x* w)
+    at x, y, w = b_i, b_j, b_l through ``MulTable.eval``, ``oct_conj`` and
+    ``polar_q``; and the largest coefficient of a value or a difference."""
+    ev, failures, top = cache(table.eval), [], 0
+    for (i, x), (j, y), (l, w) in product(enumerate(TBASIS), repeat=3):
+        v = polar_q(ev(x, y), w)
+        u1, u2 = polar_q(x, ev(w, oct_conj(y))), polar_q(y, ev(oct_conj(x), w))
+        top = max(top, largest_coeff(u1, u2, v, u1 - v, u2 - v))
+        if u1 != v or u2 != v:
+            failures.append((i, j, l))
+    return failures, top
+
+
+NEAR_2_40 = 2 ** 40 - 1
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.builds(sign_table, st.integers(0, 2 ** 32), st.integers(1, 2 ** 40),
+                 st.integers(-30, 28), st.integers(0, 2)))
+@example(sign_table(5, NEAR_2_40, 0, 0))
+@example(sign_table(2, NEAR_2_40, -1, 1))
+@example(sign_table(3, 3, 28, 2))
+@example(yang_table())
+@example(table_of(term_mul(next(single_term_mutants())[1])))
+def test_packed_laws_match_eval_oracle(table):
+    # each packed proof yields the oracle's failing points, and its digit
+    # width holds every coefficient of both sides and of their difference,
+    # the bound its docstring proves.  The two examples near 2^40 pass half
+    # of that bound (a difference of 18 m^2 against 32 m^2 for the
+    # alternative laws, 6m against 8m for the adjoint law), so one bit less
+    # would not hold them
+    failures, top = alternative_oracle(table)
+    assert list(multable.alternative_failures(table)) == failures
+    assert top < 2 ** (multable._packed_associators(table)[0] - 1)
+    failures, top = adjoint_oracle(table)
+    assert list(multable.adjoint_failures(table)) == failures
+    assert top < 2 ** (multable._packed_polars(table)[0] - 1)
 
 
 def test_kaplansky_on_yang_is_trivial():
