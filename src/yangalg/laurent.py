@@ -282,6 +282,14 @@ class UnitA:
     def to_poly(self) -> LaurentPoly:
         return LaurentPoly.term(self.sign, self.exp)
 
+    def scale(self, f: LaurentPoly) -> LaurentPoly:
+        """The product sign * z^exp * f: f's coefficients, negated when the
+        sign is -1, starting at f.lo + exp; no multiplication is done."""
+        if not f.coeffs:
+            return f
+        return _canonical(f.lo + self.exp,
+                          f.coeffs if self.sign > 0 else tuple(-c for c in f.coeffs))
+
     def conj(self) -> UnitA:
         """Conjugation; for units this is also the inverse."""
         return UnitA(self.sign, -self.exp)

@@ -28,7 +28,8 @@ substitution, as in ``laurent.sums_of_products``) with a digit width that
 bounds every coefficient of both sides, so nothing is unpacked.
 
 ``MulTable.eval`` extends a table A0-bilinearly through the same kernel, one
-``sums_of_products`` call per product.
+``sums_of_products`` call per product; ``twist`` sums its 64 entries the same
+way from the expansions of the 16 basis images, without calling ``eval``.
 """
 
 from __future__ import annotations
@@ -86,17 +87,10 @@ class MulTable:
         return self.c == other.c
 
     def eval(self, x: OctonionElt, y: OctonionElt) -> OctonionElt:
-        """The tabulated multiplication extended A0-bilinearly: both factors
-        are expanded over the Z[t]-basis via the A = A0 + A0*z split, and
-        coordinate k of the product is sum(a_i b_j c[i][j]_k) over the
-        expanded terms, one kernel row per k."""
-        scalars, coords = [], []
-        for i, a in _expand(x):
-            for j, b in _expand(y):
-                scalars.append(a * b)
-                coords += self.c[i][j].coords
-        rows = [[(1, t, 4 * t + k) for t in range(len(scalars))] for k in range(4)]
-        return OctonionElt(*sums_of_products(scalars, coords, rows))
+        """The tabulated multiplication extended A0-bilinearly: each factor
+        is expanded once over the Z[t]-basis via the A = A0 + A0*z split
+        (``_expand``), and ``_bilinear`` sums the table over the terms."""
+        return _bilinear(self.c, _expand(x), _expand(y))
 
     def to_json(self) -> dict:
         return {"basis": BASIS_LABEL, "c": [[e.to_json() for e in row] for row in self.c]}
@@ -117,15 +111,30 @@ class MulTable:
 
 
 def _expand(x: OctonionElt):
-    """Coordinates of x over the Z[t]-basis, as (index, symmetric coeff)."""
+    """Coordinates of x over the Z[t]-basis, as (index, symmetric coeff);
+    a zero coordinate has none and is not split."""
     out = []
     for k, coord in enumerate(x.coords):
-        g, h = coord.split_A0()
-        if g:
-            out.append((k, g))
-        if h:
-            out.append((k + 4, h))
+        if coord:
+            g, h = coord.split_A0()
+            if g:
+                out.append((k, g))
+            if h:
+                out.append((k + 4, h))
     return out
+
+
+def _bilinear(c, xs, ys) -> OctonionElt:
+    """The product of the elements with expansions ``xs`` and ``ys`` under
+    the table entries ``c``: coordinate k is sum(a b c[i][j]_k) over the
+    terms (i, a) of xs and (j, b) of ys, one kernel row per k."""
+    scalars, coords = [], []
+    for i, a in xs:
+        for j, b in ys:
+            scalars.append(a * b)
+            coords += c[i][j].coords
+    rows = [[(1, t, 4 * t + k) for t in range(len(scalars))] for k in range(4)]
+    return OctonionElt(*sums_of_products(scalars, coords, rows))
 
 
 def table_of(mul) -> MulTable:
@@ -191,8 +200,14 @@ def twisted(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF):
 
 
 def twist(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
-    """Table of the twisted product ``twisted(table, s1, s2, t)``."""
-    return table_of(twisted(table, s1, s2, t))
+    """Table of the twisted product ``twisted(table, s1, s2, t)``, built
+    from the 16 basis images: each s1(b_i) and s2(b_j) is a signed monomial
+    times a basis element, expanded once, and entry (i, j) is t of
+    ``_bilinear`` over the two expansions, as ``eval`` would sum it.  Any
+    bilinear table twists this way, Lagrange or not."""
+    left = [_expand(s1.apply(b)) for b in TBASIS]
+    right = [_expand(s2.apply(b)) for b in TBASIS]
+    return MulTable([[t.apply(_bilinear(table.c, xs, ys)) for ys in right] for xs in left])
 
 
 def compose_twists(first: EquivCertificate, second: EquivCertificate) -> EquivCertificate:

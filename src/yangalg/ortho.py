@@ -73,12 +73,15 @@ class OrthoNF:
         return cls.from_perm(perm)
 
     def apply(self, x: OctonionElt) -> OctonionElt:
+        """The image of x: coordinate i, conjugated when eps[i] holds, is
+        scaled by u[perm[i]] into slot perm[i].  A unit scaling is a shift
+        and a sign (``UnitA.scale``), not a polynomial multiplication."""
         out: list[LaurentPoly | None] = [None] * 4
         for i, c in enumerate(x.coords):
             j = self.perm[i]
             if self.eps[i]:
                 c = c.conj()
-            out[j] = self.u[j].to_poly() * c
+            out[j] = self.u[j].scale(c)
         return OctonionElt(*out)
 
     def compose(self, other: OrthoNF) -> OrthoNF:

@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` hold the ``normalize`` certificates of 43
 Lagrange-valid tables, exit 3's stderr for 96 tables that fail the Lagrange
-identity, one ``--format json verify`` report with hashes of every single-term
+identity, the hashes of 16 seeded ``twist random`` tables and triples, one
+``--format json verify`` report with hashes of every single-term
 mutant's report and failure lists, and the Hadamard matrix files of
 ``hadamard --search n`` with a hash of every T-sequence search's output.  A
 change that alters one
@@ -119,6 +120,23 @@ def verify_mutants(_work: Path) -> str:
     return "".join(blocks)
 
 
+def twist_files(work: Path) -> str:
+    """The exit codes of ``--seed s twist random random random`` for s =
+    1..16, then the sha256 of its 16 table files and of its 16 triple
+    files, each concatenated in seed order."""
+    codes, tables, triples = [], [], []
+    for s in range(1, 17):
+        table, triple = work / f"twist_{s}.json", work / f"twist_{s}.triple.json"
+        code, _out, _err = run_cli(["--seed", str(s), "twist", "random", "random", "random",
+                                    "--out", str(table), "--triple-out", str(triple)])
+        codes.append(code)
+        tables.append(table.read_text())
+        triples.append(triple.read_text())
+    return (f"# twist --seed 1..16 random random random: exits {codes}\n"
+            f"tables sha256 {_sha256(''.join(tables))}\n"
+            f"triples sha256 {_sha256(''.join(triples))}\n")
+
+
 def hadamard_files(work: Path) -> str:
     """Per n = 1..8: the exit code and the exact file of ``hadamard --search
     n``; per n = 1..7: the sha256 of every quad ``brute_force_tseq(n)``
@@ -140,6 +158,7 @@ ARTIFACTS = {
     "certificates.txt": certificates,
     "hadamard.txt": hadamard_files,
     "lagrange_witnesses.txt": lagrange_witnesses,
+    "twist_tables.txt": twist_files,
     "verify.txt": verify_report,
     "verify_mutants.txt": verify_mutants,
 }

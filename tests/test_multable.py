@@ -43,6 +43,7 @@ from yangalg.multable import (
     straighten_scalar_action,
     table_of,
     twist,
+    twisted,
     verify_certificate,
     yang_table,
 )
@@ -430,6 +431,35 @@ def test_packed_laws_match_eval_oracle(table):
     assert top < 2 ** (multable._packed_polars(table)[0] - 1)
 
 
+unit20 = st.builds(UnitA, st.sampled_from((1, -1)), st.integers(-20, 20))
+normal_forms = st.builds(OrthoNF, st.tuples(unit20, unit20, unit20, unit20),
+                         st.permutations(range(4)).map(tuple),
+                         st.tuples(*[st.booleans()] * 4))
+MUTANT_TABLES = [table_of(term_mul(terms)) for _name, terms in single_term_mutants()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.just(yang_table()),
+    st.tuples(normal_forms, normal_forms, normal_forms).map(
+        lambda triple: table_of(twisted(yang_table(), *triple))),
+    st.just(PINNED_LAGRANGE_TABLES["thakur"]),
+    st.sampled_from(MUTANT_TABLES),
+    tables,
+    st.builds(sign_table, st.integers(0, 2 ** 32), st.integers(1, 2 ** 40),
+              st.integers(-30, 28), st.integers(0, 2))),
+    normal_forms, normal_forms, normal_forms)
+@example(yang_table(), IDENTITY_NF, IDENTITY_NF, IDENTITY_NF)
+@example(MUTANT_TABLES[47], OrthoNF.sigma((UnitA(-1, 20),) * 4),
+         OrthoNF(tuple(UnitA(1, -20) for _ in range(4)), (3, 2, 1, 0), (True,) * 4),
+         OrthoNF.tau((True, False, True, False)))
+def test_twist_matches_tabulated_twisted_product(table, s1, s2, t):
+    # twist sums its entries from the basis images' expansions; the oracle
+    # tabulates the twisted product, one eval per entry.  Neither needs a
+    # Lagrange table
+    assert twist(table, s1, s2, t) == table_of(twisted(table, s1, s2, t))
+
+
 def test_kaplansky_on_yang_is_trivial():
     cert = kaplansky_unitize(yang_table())
     assert twist(yang_table(), *cert) == yang_table()
@@ -497,12 +527,16 @@ def test_passes_extend_the_certificate_they_are_given():
 
 
 def test_normalize_builds_one_table(monkeypatch):
-    # the replay builds the one table, 64 products; the passes read only the
+    # the replay builds the one table, 64 entries summed from the 16 basis
+    # images, each split once, with no eval call; the passes read only the
     # 21 entries their steps are computed from (row and column 0 with
     # recognize's probes, three scalar-action probes and e1 * e2), so a pass
-    # that re-checks its own result fails here
-    calls, evals = [], {True: 0, False: 0}
+    # that re-checks its own result fails here.  Each count is keyed by
+    # whether the replay has started
+    calls = []
+    evals, entries, splits = ({True: 0, False: 0} for _ in range(3))
     real_twist, real_eval = multable.twist, MulTable.eval
+    real_bilinear, real_split = multable._bilinear, LaurentPoly.split_A0
 
     def counting_twist(*args):
         calls.append(args)
@@ -512,13 +546,27 @@ def test_normalize_builds_one_table(monkeypatch):
         evals[bool(calls)] += 1
         return real_eval(table, x, y)
 
+    def counting_bilinear(*args):
+        entries[bool(calls)] += 1
+        return real_bilinear(*args)
+
+    def counting_split(f):
+        splits[bool(calls)] += 1
+        return real_split(f)
+
     rng = random.Random(51)
     tw = real_twist(yang_table(), *(random_nf(rng, 3) for _ in range(3)))
     monkeypatch.setattr(multable, "twist", counting_twist)
     monkeypatch.setattr(MulTable, "eval", counting_eval)
+    monkeypatch.setattr(multable, "_bilinear", counting_bilinear)
+    monkeypatch.setattr(LaurentPoly, "split_A0", counting_split)
     cert = normalize(tw)
     assert len(calls) == 1 and calls[0] == (tw, *cert)
-    assert evals == {False: 21, True: 64}
+    assert evals == {False: 21, True: 0}
+    assert entries == {False: 21, True: 64}
+    # only nonzero coordinates are split: 19 pass products of two basis
+    # images and recognize's two probes (one image times four coordinates)
+    assert splits == {False: 19 * 2 + 2 * 5, True: 16}
     calls.clear()
     evals.update({True: 0, False: 0})
     with pytest.raises(LagrangeError):

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from yangalg.laurent import Z, LaurentPoly, UnitA
 from yangalg.algebra import OctonionElt, norm, polar_q, random_oct, yang_mul
@@ -196,6 +196,29 @@ def test_sigma_subgroup_abelian():
         product = OrthoNF.sigma(tuple(a * b for a, b in zip(u, v)))
         assert su.compose(sv) == product
         assert sv.compose(su) == product
+
+
+unit20 = st.builds(UnitA, st.sampled_from((1, -1)), st.integers(-20, 20))
+normal_forms = st.builds(OrthoNF, st.tuples(unit20, unit20, unit20, unit20),
+                         st.permutations(range(4)).map(tuple),
+                         st.tuples(*[st.booleans()] * 4))
+# An empty coefficient list makes a zero coordinate; the second example has two.
+polys = st.builds(LaurentPoly, st.integers(-8, 8),
+                  st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_forms, st.builds(OctonionElt, polys, polys, polys, polys))
+@example(OrthoNF.identity(), OctonionElt.zero())
+@example(OrthoNF(units((-1, 3), (1, -2), (-1, 0), (1, 20)), (2, 0, 3, 1), (True,) * 4),
+         OctonionElt(LaurentPoly.zero(), LaurentPoly(-1, (1, 0, 5)), LaurentPoly.zero(), Z))
+def test_apply_matches_unit_multiplication(phi, x):
+    # apply shifts and signs each coordinate; the oracle multiplies it by
+    # the unit as a polynomial
+    y = phi.apply(x)
+    for i, f in enumerate(x.coords):
+        j = phi.perm[i]
+        assert y.coords[j] == phi.u[j].to_poly() * (f.conj() if phi.eps[i] else f)
 
 
 @settings(max_examples=50, deadline=None)
