@@ -5,14 +5,12 @@ from .laurent import (
     LaurentPoly,
     UnitA,
     divexact,
-    factor_sphere_prime,
     random_poly,
 )
 from .algebra import (
     OctonionElt,
     QuaternionElt,
     cd_oct_mul,
-    decompose_sphere_prime,
     decompose_unit,
     iso_cd_to_yang,
     norm,

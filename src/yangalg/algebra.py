@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import (
-    SPHERE_PRIME_NORM,
-    LaurentPoly,
-    UnitA,
-    factor_sphere_prime,
-    random_poly,
-    sums_of_products,
-)
+from .laurent import LaurentPoly, UnitA, random_poly, sums_of_products
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
@@ -260,31 +253,13 @@ def thakur_mul(x: OctonionElt, y: OctonionElt) -> OctonionElt:
 
 
 def decompose_unit(x: OctonionElt) -> tuple[int, UnitA]:
-    """Write a norm-1 element as u * e_k.
-
-    The precondition is proved rather than trusted: the constant terms of the
-    coordinate norms must be three zeros and a single one, which forces one
-    unit coordinate and three zero coordinates.
-    """
-    cts = [c.constant_term() for c in (c * c.conj() for c in x.coords)]
-    if sorted(cts) != [0, 0, 0, 1]:
-        raise ValueError(f"element is not on the unit sphere (coordinate norms {cts})")
-    k = cts.index(1)
-    u = x.coords[k].as_unit()
-    if u is None:  # unreachable: CT(ff*) = 1 forces ff* = 1
-        raise ValueError("unit coordinate is not ±z^k")
-    return k, u
-
-
-def decompose_sphere_prime(x: OctonionElt) -> tuple[int, UnitA]:
-    """Write an element of norm 2 - z^2 - z^-2 as (z - z^-1) * u * e_k."""
-    if norm(x) != SPHERE_PRIME_NORM:
-        raise ValueError("element does not have norm 2 - z^2 - z^-2")
-    nonzero = [k for k, c in enumerate(x.coords) if not c.is_zero()]
-    if len(nonzero) != 1:
-        raise ValueError("expected exactly one nonzero coordinate")
-    k = nonzero[0]
-    return k, factor_sphere_prime(x.coords[k])
+    """Write a norm-1 element as u * e_k: it has exactly one nonzero
+    coordinate, and that coordinate is a unit ±z^n (``as_unit``)."""
+    nonzero = [k for k, c in enumerate(x.coords) if c]
+    u = x.coords[nonzero[0]].as_unit() if len(nonzero) == 1 else None
+    if u is None:
+        raise ValueError(f"element is not on the unit sphere (nonzero coordinates {nonzero})")
+    return nonzero[0], u
 
 
 def random_oct(rng, degree_bound: int = 3, coeff_bound: int = 9) -> OctonionElt:

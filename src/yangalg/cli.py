@@ -54,7 +54,7 @@ from .multable import (
     twist,
     yang_table,
 )
-from .ortho import _PROBE, OrthoNF, TBASIS, random_nf
+from .ortho import OrthoNF, TBASIS, random_nf
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -77,8 +77,9 @@ def _oct_pair_json(x: OctonionElt, y: OctonionElt) -> dict:
 
 
 # A fixed generic pair: no coordinate is zero or symmetric.
-_GENERIC_PAIR = (_PROBE, OctonionElt.from_coords(LaurentPoly(lo, cs) for lo, cs in (
-    (-1, (3, 0, 2)), (0, (-1, 4)), (-3, (2, 0, 0, 1)), (-1, (1, -2, 0, 7)))))
+_GENERIC_PAIR = tuple(OctonionElt.from_coords(LaurentPoly(lo, cs) for lo, cs in x) for x in (
+    ((0, (1, 1)), (-2, (1, 0, -3)), (0, (2, -1)), (0, (1, 0, 0, 5))),
+    ((-1, (3, 0, 2)), (0, (-1, 4)), (-3, (2, 0, 0, 1)), (-1, (1, -2, 0, 7)))))
 _E0 = OctonionElt.e(0)
 _BASIS_PAIRS = tuple(product(enumerate(TBASIS), repeat=2))
 

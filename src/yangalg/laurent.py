@@ -314,8 +314,6 @@ class UnitA:
 Z = LaurentPoly.term(1, 1)
 Z_INV = LaurentPoly.term(1, -1)
 Z_MINUS_ZINV = Z - Z_INV
-# The norm value -(z - z^-1)^2 = 2 - z^2 - z^-2 shared by the scaled sphere.
-SPHERE_PRIME_NORM = -(Z_MINUS_ZINV * Z_MINUS_ZINV)
 
 
 def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -451,22 +449,6 @@ def _unpack(v: int, k: int, lo: int) -> LaurentPoly:
         digits.append(d)
         v = (v - d) >> k
     return _canonical(lo + skip, tuple(digits))
-
-
-def factor_sphere_prime(f: LaurentPoly) -> UnitA:
-    """Given f with f*f.conj() == 2 - z^2 - z^-2, return the unit y with
-    f = (z - z^-1) * y.
-
-    Those f are exactly ±(z^(k+1) - z^(k-1)) = ±z^k (z - z^-1), which is
-    recognized from the coefficients.  In the factorial ring A, f divides
-    its norm -z^-2 (z - 1)^2 (z + 1)^2, so f = u (z - 1)^a (z + 1)^b with u
-    a unit; as (z - 1)* and (z + 1)* are unit multiples of z - 1 and z + 1,
-    the norm of f is a unit times (z - 1)^2a (z + 1)^2b, so a = b = 1.
-    """
-    c = f.coeffs
-    if len(c) != 3 or c[1] or c[0] != -c[2] or c[2] not in (1, -1):
-        raise ValueError("f*f_conj must equal 2 - z^2 - z^-2")
-    return UnitA(c[2], f.lo + 1)
 
 
 def random_poly(rng, degree_bound: int = 3, coeff_bound: int = 9) -> LaurentPoly:

@@ -13,11 +13,13 @@ all such multiplications are equivalent:
 3. ``align_triple_products`` rescales e3 so that e1 * e2 = e3, which forces
    the whole quaternion triple pattern.
 
-Each pass takes the certificate (sigma1, sigma2, tau) so far, reads through
-the twisted product only the entries its step is computed from, and returns
-the extended certificate; it raises only when that step cannot be computed.
+Each pass takes the certificate (sigma1, sigma2, tau) so far, reads only
+the entries of the twisted table its step is computed from, and returns the
+extended certificate; it raises only when that step cannot be computed.
 No pass checks its own result or builds a table: the one full table is the
 final replay, whose exact equality with the Yang table is the only proof.
+The passes and ``twist`` compute entries through one function,
+``_entries``, so the normalizer makes no ``eval`` call.
 
 The normalizer's precondition, the Lagrange identity N(x*y) = N(x)N(y), is
 proved exactly by ``check_lagrange``: the defect N(x*y) - N(x)N(y) is an
@@ -28,8 +30,8 @@ substitution, as in ``laurent.sums_of_products``) with a digit width that
 bounds every coefficient of both sides, so nothing is unpacked.
 
 ``MulTable.eval`` extends a table A0-bilinearly through the same kernel, one
-``sums_of_products`` call per product; ``twist`` sums its 64 entries the same
-way from the expansions of the 16 basis images, without calling ``eval``.
+``sums_of_products`` call per product; ``_entries`` sums a twisted entry the
+same way from the expansions of two basis images.
 """
 
 from __future__ import annotations
@@ -46,9 +48,7 @@ from .algebra import (
     norm,
     yang_mul,
 )
-from .ortho import OrthoNF, RecognitionError, TBASIS, recognize, tbasis_elt
-
-_E0 = OctonionElt.e(0)
+from .ortho import OrthoNF, RecognitionError, TBASIS, recognize
 
 BASIS_LABEL = "e0..e3,ze0..ze3"
 
@@ -189,25 +189,23 @@ class EquivCertificate:
 _NO_TWIST = EquivCertificate.identity()
 
 
-def twisted(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF):
-    """The twisted product x, y -> t(table.eval(s1 x, s2 y)); each product
-    and each factor's image is computed once.
-
-    Twisting by orthogonal maps preserves the Lagrange property.
-    """
-    left, right = cache(s1.apply), cache(s2.apply)
-    return cache(lambda x, y: t.apply(table.eval(left(x), right(y))))
+def _entries(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF):
+    """(i, j) -> entry (i, j) of ``twist(table, s1, s2, t)``, each computed
+    once.  Each s1(b_i) and s2(b_j) is a signed monomial times a basis
+    element, expanded on first use; the entry is t of ``_bilinear`` over
+    the two expansions, as ``eval`` would sum it."""
+    left = cache(lambda i: _expand(s1.apply(TBASIS[i])))
+    right = cache(lambda j: _expand(s2.apply(TBASIS[j])))
+    return cache(lambda i, j: t.apply(_bilinear(table.c, left(i), right(j))))
 
 
 def twist(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
-    """Table of the twisted product ``twisted(table, s1, s2, t)``, built
-    from the 16 basis images: each s1(b_i) and s2(b_j) is a signed monomial
-    times a basis element, expanded once, and entry (i, j) is t of
-    ``_bilinear`` over the two expansions, as ``eval`` would sum it.  Any
-    bilinear table twists this way, Lagrange or not."""
-    left = [_expand(s1.apply(b)) for b in TBASIS]
-    right = [_expand(s2.apply(b)) for b in TBASIS]
-    return MulTable([[t.apply(_bilinear(table.c, xs, ys)) for ys in right] for xs in left])
+    """Table of the twisted product x, y -> t(table(s1 x, s2 y)): its 64
+    ``_entries``, from 16 expanded basis images.  Any bilinear table twists
+    this way, Lagrange or not; twisting by orthogonal maps preserves the
+    Lagrange property."""
+    entry = _entries(table, s1, s2, t)
+    return MulTable([[entry(i, j) for j in range(8)] for i in range(8)])
 
 
 def compose_twists(first: EquivCertificate, second: EquivCertificate) -> EquivCertificate:
@@ -496,12 +494,12 @@ def kaplansky_unitize(table: MulTable, cert: EquivCertificate = _NO_TWIST) -> Eq
     and inverted; the product x*y -> R^-1(x) * L^-1(y) has identity element
     c = e0*e0 = L(e0), a unit times e_i with i and the unit read off L's
     normal form, which a final conjugation by some sigma with sigma(e0) = c
-    moves onto e0.  Reads row and column 0.
+    moves onto e0.  Reads row and column 0, the images of L and R.
     """
-    prod = twisted(table, *cert)
+    entry = _entries(table, *cert)
     try:
-        l_nf = recognize(lambda v: prod(_E0, v))
-        r_nf = recognize(lambda v: prod(v, _E0))
+        l_nf = recognize([entry(0, j) for j in range(8)])
+        r_nf = recognize([entry(i, 0) for i in range(8)])
     except RecognitionError as exc:
         raise NormalizationError(f"translation by e0 is not orthogonal: {exc}") from exc
 
@@ -521,13 +519,12 @@ def straighten_scalar_action(table: MulTable,
     For i = 1, 2, 3 the product (z e0) * e_i is either z e_i or z^-1 e_i;
     the latter branch is repaired by conjugating the i-th coordinate.  The
     fix is the self-twist x*y -> tau(tau(x) * tau(y)) by the collected
-    conjugations.  Reads (z e0) * e_i for i = 1, 2, 3.
+    conjugations.  Reads entry (4, i), (z e0) * e_i, for i = 1, 2, 3.
     """
-    prod = twisted(table, *cert)
-    ze0 = tbasis_elt(4)
+    entry = _entries(table, *cert)
     eps = [False] * 4
     for i in range(1, 4):
-        probe = prod(ze0, OctonionElt.e(i))
+        probe = entry(4, i)
         if probe == Z_INV * OctonionElt.e(i):
             eps[i] = True
         elif probe != Z * OctonionElt.e(i):
@@ -542,10 +539,10 @@ def align_triple_products(table: MulTable,
     forces the cyclic pattern e_i e_j = e_k = -e_j e_i.
 
     e1 * e2 is necessarily of the form u e3; conjugating by
-    sigma_(1,1,1,u) removes the unit.  Reads e1 * e2.
+    sigma_(1,1,1,u) removes the unit.  Reads entry (1, 2), e1 * e2.
     """
     try:
-        idx, u = decompose_unit(twisted(table, *cert)(OctonionElt.e(1), OctonionElt.e(2)))
+        idx, u = decompose_unit(_entries(table, *cert)(1, 2))
     except ValueError as exc:
         raise NormalizationError(f"e1*e2 is not on the unit sphere: {exc}") from exc
     if idx != 3:
@@ -559,7 +556,7 @@ def normalize(table: MulTable) -> EquivCertificate:
 
     Proves the Lagrange identity first (``check_lagrange``, raising
     ``LagrangeError`` with the witness pair), then threads the certificate
-    through the three passes, which read only the twisted entries their
+    through the three passes, which read only the 19 twisted entries their
     steps are computed from.  The one full table is built by
     ``verify_certificate``, whose exact replay to the Yang table is the only
     check of the passes' result: a table that passes the Lagrange proof is

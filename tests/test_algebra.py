@@ -1,5 +1,5 @@
 """Tests for the octonion module: the three multiplications, the norm-form
-machinery, and the sphere decompositions."""
+machinery, and the unit-sphere decomposition."""
 
 import json
 import random
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangalg.laurent import (
-    SPHERE_PRIME_NORM,
     Z,
     Z_MINUS_ZINV,
     LaurentPoly,
@@ -20,7 +19,6 @@ from yangalg.algebra import (
     OctonionElt,
     QuaternionElt,
     cd_oct_mul,
-    decompose_sphere_prime,
     decompose_unit,
     iso_cd_to_yang,
     norm,
@@ -155,7 +153,7 @@ def test_oct_conj():
 def test_norm_examples():
     assert norm(Z * E(0)) == ONE
     assert norm(OctonionElt.from_coords((1, 1, 1, 1))) == LaurentPoly.const(4)
-    assert norm(Z_MINUS_ZINV * E(2)) == SPHERE_PRIME_NORM
+    assert norm(Z_MINUS_ZINV * E(2)) == LaurentPoly(-2, (-1, 0, 2, 0, -1))
     rng = random.Random(17)
     for _ in range(100):
         x = random_oct(rng)
@@ -265,22 +263,9 @@ def test_decompose_unit():
         decompose_unit(E(0) + E(1))
     with pytest.raises(ValueError):
         decompose_unit(LaurentPoly(0, (1, 1)) * E(0))
-
-
-def test_decompose_sphere_prime():
-    assert decompose_sphere_prime(Z_MINUS_ZINV * E(0)) == (0, UnitA(1, 0))
-    f = LaurentPoly(-2, (-1, 0, 1))  # 1 - z^-2 = (z - z^-1) z^-1
-    assert decompose_sphere_prime(f * E(2)) == (2, UnitA(1, -1))
-    rng = random.Random(27)
-    for _ in range(200):
-        k = rng.randrange(4)
-        u = UnitA(rng.choice((1, -1)), rng.randint(-6, 6))
-        x = (Z_MINUS_ZINV * u.to_poly()) * E(k)
-        assert decompose_sphere_prime(x) == (k, u)
-    with pytest.raises(ValueError):
-        decompose_sphere_prime(E(0))
-    with pytest.raises(ValueError):
-        decompose_sphere_prime(Z_MINUS_ZINV * (E(0) + E(1)))
+    for x in (OctonionElt.zero(), 2 * E(2), LaurentPoly.term(1, 1) * E(0) - E(3)):
+        with pytest.raises(ValueError, match="^element is not on the unit sphere"):
+            decompose_unit(x)
 
 
 def test_sign_flip_breaks_lagrange():

@@ -177,7 +177,7 @@ def test_every_proof_refutes_sign_flips():
 # products, which are bilinear but not built from a term table.
 _TWIST_RNG = random.Random(17)
 ORACLE_PRODUCTS = [(fault, term_mul(terms)) for fault, terms in MUTANTS] + [
-    (f"twisted {n}", multable.twisted(yang_table(), *(random_nf(_TWIST_RNG) for _ in range(3))))
+    (f"twisted {n}", twist(yang_table(), *(random_nf(_TWIST_RNG) for _ in range(3))).eval)
     for n in range(6)]
 
 

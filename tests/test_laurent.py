@@ -9,13 +9,11 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from yangalg.laurent import (
-    SPHERE_PRIME_NORM,
     Z,
     Z_MINUS_ZINV,
     LaurentPoly,
     UnitA,
     divexact,
-    factor_sphere_prime,
     random_poly,
     sums_of_products,
 )
@@ -93,8 +91,9 @@ def test_conj_examples():
     sym = lp(-1, 1, 0, 1)
     assert sym.conj() == sym
     assert Z.conj() != Z
-    assert SPHERE_PRIME_NORM == lp(-2, -1, 0, 2, 0, -1)
-    assert SPHERE_PRIME_NORM.conj() == SPHERE_PRIME_NORM
+    sphere_norm = -(Z_MINUS_ZINV * Z_MINUS_ZINV)  # 2 - z^2 - z^-2
+    assert sphere_norm == lp(-2, -1, 0, 2, 0, -1)
+    assert sphere_norm.conj() == sphere_norm
 
 
 def test_constant_term():
@@ -170,39 +169,6 @@ def test_divexact():
         divexact(lp(0, 1, 1), lp(0, 2))
     with pytest.raises(ZeroDivisionError):
         divexact(Z, P.zero())
-
-
-def test_factor_sphere_prime_examples():
-    assert factor_sphere_prime(Z_MINUS_ZINV) == UnitA(1, 0)
-    assert factor_sphere_prime(lp(-2, -1, 0, 1)) == UnitA(1, -1)  # 1 - z^-2
-    assert factor_sphere_prime(-Z_MINUS_ZINV) == UnitA(-1, 0)
-    # norms other than 2 - z^2 - z^-2, three of them vanishing at z = 1 and -1
-    for f in (Z, P.zero(), lp(-1, 2, 0, -2), lp(-1, -1, 0, 2), lp(-1, -1, 1),
-              lp(-3, -1, 0, 0, 0, 0, 0, 1), lp(-1, 1, 0, 1)):
-        with pytest.raises(ValueError, match="must equal 2 - z"):
-            factor_sphere_prime(f)
-
-
-def test_factor_sphere_prime_round_trip():
-    rng = random.Random(4)
-    for _ in range(200):
-        u = UnitA(rng.choice((1, -1)), rng.randint(-6, 6))
-        f = Z_MINUS_ZINV * u.to_poly()
-        assert factor_sphere_prime(f) == u
-
-
-@settings(max_examples=300, deadline=None)
-@given(polys.map(lambda f: P(f.lo, [max(-2, min(2, c)) for c in f.coeffs[:4]])))
-@example(lp(-1, -1, 0, 1))
-@example(lp(6, 1, 0, -1))
-def test_factor_sphere_prime_matches_norm(f):
-    # small polynomials, so that the units times z - z^-1 are drawn often
-    if f * f.conj() == SPHERE_PRIME_NORM:
-        u = factor_sphere_prime(f)
-        assert Z_MINUS_ZINV * u.to_poly() == f
-    else:
-        with pytest.raises(ValueError):
-            factor_sphere_prime(f)
 
 
 @settings(max_examples=150, deadline=None)

@@ -43,7 +43,6 @@ from yangalg.multable import (
     straighten_scalar_action,
     table_of,
     twist,
-    twisted,
     verify_certificate,
     yang_table,
 )
@@ -438,11 +437,16 @@ normal_forms = st.builds(OrthoNF, st.tuples(unit20, unit20, unit20, unit20),
 MUTANT_TABLES = [table_of(term_mul(terms)) for _name, terms in single_term_mutants()]
 
 
+def twisted_product(table, s1, s2, t):
+    """The oracle of ``twist``: x, y -> t(table.eval(s1 x, s2 y))."""
+    return lambda x, y: t.apply(table.eval(s1.apply(x), s2.apply(y)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     st.just(yang_table()),
     st.tuples(normal_forms, normal_forms, normal_forms).map(
-        lambda triple: table_of(twisted(yang_table(), *triple))),
+        lambda triple: table_of(twisted_product(yang_table(), *triple))),
     st.just(PINNED_LAGRANGE_TABLES["thakur"]),
     st.sampled_from(MUTANT_TABLES),
     tables,
@@ -457,7 +461,7 @@ def test_twist_matches_tabulated_twisted_product(table, s1, s2, t):
     # twist sums its entries from the basis images' expansions; the oracle
     # tabulates the twisted product, one eval per entry.  Neither needs a
     # Lagrange table
-    assert twist(table, s1, s2, t) == table_of(twisted(table, s1, s2, t))
+    assert twist(table, s1, s2, t) == table_of(twisted_product(table, s1, s2, t))
 
 
 def test_kaplansky_on_yang_is_trivial():
@@ -528,11 +532,11 @@ def test_passes_extend_the_certificate_they_are_given():
 
 def test_normalize_builds_one_table(monkeypatch):
     # the replay builds the one table, 64 entries summed from the 16 basis
-    # images, each split once, with no eval call; the passes read only the
-    # 21 entries their steps are computed from (row and column 0 with
-    # recognize's probes, three scalar-action probes and e1 * e2), so a pass
-    # that re-checks its own result fails here.  Each count is keyed by
-    # whether the replay has started
+    # images, each split once; the passes read only the 19 entries their
+    # steps are computed from (row and column 0, three scalar-action entries
+    # and e1 * e2), so a pass that re-checks its own result fails here.
+    # Neither calls eval.  Each count is keyed by whether the replay has
+    # started
     calls = []
     evals, entries, splits = ({True: 0, False: 0} for _ in range(3))
     real_twist, real_eval = multable.twist, MulTable.eval
@@ -562,11 +566,11 @@ def test_normalize_builds_one_table(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "split_A0", counting_split)
     cert = normalize(tw)
     assert len(calls) == 1 and calls[0] == (tw, *cert)
-    assert evals == {False: 21, True: 0}
-    assert entries == {False: 21, True: 64}
-    # only nonzero coordinates are split: 19 pass products of two basis
-    # images and recognize's two probes (one image times four coordinates)
-    assert splits == {False: 19 * 2 + 2 * 5, True: 16}
+    assert evals == {False: 0, True: 0}
+    assert entries == {False: 19, True: 64}
+    # each basis image a pass reads is split once: 8 + 8 for row and
+    # column 0, 1 + 3 for (z e0) * e_i and 1 + 1 for e1 * e2
+    assert splits == {False: 16 + 4 + 2, True: 16}
     calls.clear()
     evals.update({True: 0, False: 0})
     with pytest.raises(LagrangeError):

@@ -96,52 +96,54 @@ def test_invert_examples():
         assert tau.invert() == tau
 
 
+def images(m):
+    """The images of the Z[t]-basis under m."""
+    return [m(b) for b in TBASIS]
+
+
 def test_recognize_round_trip():
     rng = random.Random(34)
     for _ in range(50):
         phi = random_nf(rng, 4)
-        assert recognize(phi.apply) == phi
+        assert recognize(images(phi.apply)) == phi
 
 
 def test_recognize_special_maps():
-    assert recognize(lambda x: x) == OrthoNF.identity()
-    assert recognize(lambda x: yang_mul(E(0), x)) == OrthoNF.identity()
+    assert recognize(TBASIS) == OrthoNF.identity()
+    assert recognize(images(lambda x: yang_mul(E(0), x))) == OrthoNF.identity()
 
 
 def test_recognize_rejects_non_orthogonal():
     with pytest.raises(RecognitionError):
-        recognize(lambda x: LaurentPoly.const(2) * x)
+        recognize(images(lambda x: LaurentPoly.const(2) * x))
     with pytest.raises(RecognitionError):
-        recognize(lambda x: LaurentPoly(0, (1, 1)) * x)
+        recognize(images(lambda x: LaurentPoly(0, (1, 1)) * x))
     with pytest.raises(RecognitionError):
-        recognize(lambda x: OctonionElt.zero())
+        recognize(images(lambda x: OctonionElt.zero()))
     # collapses two coordinates onto one
     def collapse(x):
         return OctonionElt(x.x0 + x.x1, LaurentPoly.zero(), x.x2, x.x3)
     with pytest.raises(RecognitionError):
-        recognize(collapse)
+        recognize(images(collapse))
 
 
-def test_recognize_rejects_nonlinear_callable():
-    phi = OrthoNF.sigma(units((1, 1), (1, 0), (1, 0), (1, 0)))
-    probe_trap = OctonionElt.from_coords((LaurentPoly(0, (1, 1)), 0, 0, 0))
-
-    def sneaky(x):
-        # agrees with phi on the basis but not beyond
-        if x == probe_trap:
-            return x
-        return phi.apply(x)
-
-    # the trap misses the internal generic probe, so this one is accepted
-    assert recognize(sneaky) == phi
-
-    def sneaky_everywhere(x):
-        if len([c for c in x.coords if not c.is_zero()]) > 1:
-            return x
-        return phi.apply(x)
-
-    with pytest.raises(RecognitionError):
-        recognize(sneaky_everywhere)
+def test_recognize_rejects_z_image_off_both_branches():
+    # e_i's images are those of phi, so perm and units are read off them;
+    # the image of z e2 is then u z e_i' and u z^-1 e_i' for neither choice
+    # of conjugation bit: z^2 u e_i', z u e_i' + z^-1 u e_i', a right
+    # multiple in the wrong slot, the right image negated, and the right
+    # image plus another basis vector, next to either right image
+    rng = random.Random(35)
+    nf = random_nf(rng, 4)
+    tgt, u = nf.perm[2], nf.u[nf.perm[2]].to_poly()
+    e, wrong_slot = E(tgt), E((tgt + 1) % 4)
+    for eps2 in (False, True):
+        phi = OrthoNF(nf.u, nf.perm, nf.eps[:2] + (eps2,) + nf.eps[3:])
+        good = images(phi.apply)
+        for bad in (Z * Z * u * e, (Z + Z.conj()) * u * e, Z * u * wrong_slot,
+                    -good[6], good[6] + wrong_slot):
+            with pytest.raises(RecognitionError, match=r"image of z\*e2 matches neither"):
+                recognize(good[:6] + [bad] + good[7:])
 
 
 def test_random_nf_reproducible():
