@@ -17,6 +17,11 @@ flags produce byte-identical reports.  Exit codes:
         passes the Lagrange proof
     5   input quad is not a T-sequence
     6   T-sequence search exhausted without a hit
+
+A command either returns 0 or raises ``_Failure(code, message)``; ``main``
+alone catches it and prints the one ``error: {message}`` line on stderr
+(exit 3 adds the witness pair as a second, JSON line).  Flags that argparse
+rejects exit 2 through its own usage text.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -37,7 +43,6 @@ from .algebra import (
     cd_oct_mul,
     norm,
     thakur_mul,
-    trace,
     yang_mul,
 )
 from .laurent import Z, Z_INV, LaurentPoly
@@ -49,7 +54,6 @@ from .multable import (
     NormalizationError,
     elduque_check,
     normalize,
-    point_products,
     proof_point,
     twist,
     yang_table,
@@ -104,12 +108,22 @@ def run_verify(config: RunConfig, mul=None):
     (``multable.check_lagrange``, ``alternative_failures`` and
     ``adjoint_failures``), each with a digit width that its docstring
     proves holds every coefficient of both sides and of their difference,
-    so one integer comparison decides one point exactly.  ``mul`` is called
-    130 times: 64 to build the table, once by ``bilinear``, which ties it to
-    the table, and 65 times by ``cd_yang_iso_*``, which compare it with the
-    Cayley-Dickson product; ``thakur_agreement`` compares the table with
-    ``thakur_mul``.  These cross-checks go through the independently
-    written products on purpose.
+    so one integer comparison decides one point exactly.
+
+    ``linearized_trace`` and ``quadratic`` read one list of basis defects
+    D(i, j) = c[i][j] + c[j][i] - v(i, j), where v(i, j) = T(b_i) b_j +
+    T(b_j) b_i - Q(b_i, b_j) e0 (``_linearized_trace_values``).
+    ``linearized_trace`` fails at (i, j) iff D(i, j) != 0.  The quadratic
+    law is the diagonal of its polarization, so at the proof point x = sum
+    of b_i over i in p, 2(x x - T(x) x + N(x) e0) is the sum of D(i, j) over
+    i, j in p; as the octonions over A are torsion-free, ``quadratic`` fails
+    at p iff that sum is nonzero.
+
+    ``mul`` is called 130 times: 64 to build the table, once by
+    ``bilinear``, which ties it to the table, and 65 times by
+    ``cd_yang_iso_*``, which compare it with the Cayley-Dickson product;
+    ``thakur_agreement`` compares the table with ``thakur_mul``.  These
+    cross-checks go through the independently written products on purpose.
     """
     identities = {}
     for name, points, failures in _proofs(mul or yang_mul):
@@ -135,11 +149,13 @@ def _proofs(mul):
     yield "lagrange", len(PROOF_POINTS) ** 2, (
         _oct_pair_json(*r.witness) for r in map(multable.check_lagrange, [table]) if not r.ok)
     yield "alternative_laws", 2 * 8 * len(PROOF_POINTS), _alternative_failures(table)
-    prod = point_products(table)
+    d = [c[i][j] + c[j][i] - v  # D(i, j) of run_verify's docstring, at 8 i + j
+         for ((i, _), (j, _)), v in zip(_BASIS_PAIRS, _linearized_trace_values())]
     yield "quadratic", len(PROOF_POINTS), (
-        {"x": x.to_json()} for p, x in zip(PROOF_POINTS, map(proof_point, PROOF_POINTS))
-        if not (prod(p, p) - trace(x) * x + norm(x) * _E0).is_zero())
-    yield "linearized_trace", 64, _linearized_trace_failures(c)
+        {"x": proof_point(p).to_json()} for p in PROOF_POINTS
+        if not sum((d[8 * i + j] for i in p for j in p), OctonionElt.zero()).is_zero())
+    yield "linearized_trace", 64, (_oct_pair_json(x, y) for ((_, x), (_, y)), dij
+                                   in zip(_BASIS_PAIRS, d) if not dij.is_zero())
     yield "adjoint", 512, _adjoint_failures(table)
     yield "thakur_agreement", 64, (_oct_pair_json(x, y) for (i, x), (j, y) in _BASIS_PAIRS
                                    if thakur_mul(x, y) != c[i][j])
@@ -170,14 +186,6 @@ def _linearized_trace_values() -> tuple[OctonionElt, ...]:
     traces = (2, 0, 0, 0, t, 0, 0, 0)
     return tuple(traces[i] * y + traces[j] * x - (0 if (i - j) % 4 else 2 if i == j else t) * _E0
                  for (i, x), (j, y) in _BASIS_PAIRS)
-
-
-def _linearized_trace_failures(c):
-    """xy + yx = T(x) y + T(y) x - Q(x, y) e0 on basis pairs, whose right
-    side holds only basis values."""
-    return (_oct_pair_json(x, y)
-            for ((i, x), (j, y)), v in zip(_BASIS_PAIRS, _linearized_trace_values())
-            if c[i][j] + c[j][i] != v)
 
 
 def _adjoint_failures(table):
@@ -211,28 +219,42 @@ def _load_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def cmd_normalize(table_file: str, out: str | None = None) -> int:
+class _Failure(Exception):
+    """A command's one way to fail: ``main`` prints ``error: {message}`` and
+    returns ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@contextmanager
+def _reading(what: str):
     try:
-        table = MulTable.from_json(_load_json(table_file))
+        yield
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read table: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _Failure(EXIT_PARSE, f"cannot read {what}: {exc}") from None
+
+
+def _write(path: Path, text: str, what: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _Failure(EXIT_PARSE, f"cannot write {what}: {exc}") from None
+
+
+def cmd_normalize(table_file: str, out: str | None = None) -> int:
+    with _reading("table"):
+        table = MulTable.from_json(_load_json(table_file))
     try:
         cert = normalize(table)
     except LagrangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        x, y = exc.report.witness
-        print(json.dumps(_oct_pair_json(x, y), sort_keys=True), file=sys.stderr)
-        return EXIT_LAGRANGE
+        witness = json.dumps(_oct_pair_json(*exc.report.witness), sort_keys=True)
+        raise _Failure(EXIT_LAGRANGE, f"{exc}\n{witness}") from None
     except NormalizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NORMALIZE
+        raise _Failure(EXIT_NORMALIZE, str(exc)) from None
     out_path = Path(out) if out else Path(table_file).with_suffix(".cert.json")
-    try:
-        out_path.write_text(json.dumps(cert.to_json(), sort_keys=True) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write certificate: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    _write(out_path, json.dumps(cert.to_json(), sort_keys=True) + "\n", "certificate")
     print(f"certificate written to {out_path}")
     return EXIT_OK
 
@@ -246,33 +268,21 @@ def _load_nf(source: str, rng) -> OrthoNF:
 def cmd_twist(s1: str, s2: str, t: str, config: RunConfig,
               out: str, triple_out: str | None = None) -> int:
     rng = random.Random(config.seed)
-    try:
-        nf1 = _load_nf(s1, rng)
-        nf2 = _load_nf(s2, rng)
-        nf3 = _load_nf(t, rng)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read normal form: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    table = twist(yang_table(), nf1, nf2, nf3).to_json()
+    with _reading("normal form"):
+        triple = EquivCertificate(*[_load_nf(source, rng) for source in (s1, s2, t)])
+    table = twist(yang_table(), *triple).to_json()
     try:  # entries add up the units' exponents: emit only what reads back
         MulTable.from_json(table)
     except ValueError as exc:
-        print(f"error: twisted table is not readable: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    triple = EquivCertificate(nf1, nf2, nf3)
+        raise _Failure(EXIT_PARSE, f"twisted table is not readable: {exc}") from None
     out_path = Path(out)
     triple_path = Path(triple_out) if triple_out else out_path.with_suffix(".triple.json")
+    _write(out_path, json.dumps(table, sort_keys=True) + "\n", "output")
     try:
-        out_path.write_text(json.dumps(table, sort_keys=True) + "\n")
-        try:
-            triple_path.write_text(json.dumps(triple.to_json(), sort_keys=True) + "\n")
-        except OSError:
-            # a table without its triple is half an output
-            out_path.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        _write(triple_path, json.dumps(triple.to_json(), sort_keys=True) + "\n", "output")
+    except _Failure:
+        out_path.unlink(missing_ok=True)  # a table without its triple is half an output
+        raise
     print(f"twisted table written to {out}; triple written to {triple_path}")
     return EXIT_OK
 
@@ -292,69 +302,49 @@ def cmd_hadamard(tseq_file: str | None, search: int | None,
         try:
             quads = sequences.brute_force_tseq(search, limit=1)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+            raise _Failure(EXIT_PARSE, str(exc)) from None
         if not quads:
-            print(f"error: no T-sequence of length {search} found", file=sys.stderr)
-            return EXIT_SEARCH_EXHAUSTED
+            raise _Failure(EXIT_SEARCH_EXHAUSTED, f"no T-sequence of length {search} found")
         quad = quads[0]
     else:
-        try:
+        with _reading("quad"):
             quad = _read_quad(tseq_file)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read quad: {exc}", file=sys.stderr)
-            return EXIT_PARSE
     n = len(quad[0])
     try:
         # to_pm1_quad proves the T-property itself, once per run
         a, b, c, d = sequences.to_pm1_quad(quad)
     except ValueError:
-        print("error: input quad is not a T-sequence", file=sys.stderr)
-        return EXIT_NOT_TSEQ
+        raise _Failure(EXIT_NOT_TSEQ, "input quad is not a T-sequence") from None
     matrix = sequences.goethals_seidel(a, b, c, d)
     if not sequences.is_hadamard(matrix):
-        print(f"error: the order-{4 * n} matrix is not Hadamard", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        raise _Failure(EXIT_VERIFY_FAILED, f"the order-{4 * n} matrix is not Hadamard")
     out_path = Path(out) if out else Path(f"hadamard_{4 * n}.txt")
-    try:
-        out_path.write_text(sequences.format_hadamard(matrix, [n] * 4))
-    except OSError as exc:
-        print(f"error: cannot write matrix: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    _write(out_path, sequences.format_hadamard(matrix, [n] * 4), "matrix")
     print(f"order-{4 * n} matrix written to {out_path} (verified=True)")
     return EXIT_OK
 
 
 def cmd_compose(x_file: str, y_file: str, config: RunConfig) -> int:
-    try:
-        xq = _read_quad(x_file)
-        yq = _read_quad(y_file)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read quad: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    with _reading("quad"):
+        xq, yq = _read_quad(x_file), _read_quad(y_file)
     p, q, r, s = sequences.yang_compose(xq, yq)
     nx = sequences.quad_norm(xq)
     ny = sequences.quad_norm(yq)
     product = nx * ny
     nz = norm(OctonionElt(p, q, r, s))
-    payload = {
-        "p": p.to_json(), "q": q.to_json(), "r": r.to_json(), "s": s.to_json(),
-        "norm_x": nx.to_json(), "norm_y": ny.to_json(),
-        "norm_product": product.to_json(), "norm_output": nz.to_json(),
-        "norm_multiplicative": nz == product,
-    }
     if config.output_format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"p = {p}")
-        print(f"q = {q}")
-        print(f"r = {r}")
-        print(f"s = {s}")
-        print(f"norm(x) = {nx}")
-        print(f"norm(y) = {ny}")
-        print(f"norm(x)*norm(y) = {product}")
-        print(f"norm(output) = {nz}")
-        print(f"norm multiplicative: {nz == product}")
+        print(json.dumps({
+            "p": p.to_json(), "q": q.to_json(), "r": r.to_json(), "s": s.to_json(),
+            "norm_x": nx.to_json(), "norm_y": ny.to_json(),
+            "norm_product": product.to_json(), "norm_output": nz.to_json(),
+            "norm_multiplicative": nz == product,
+        }, sort_keys=True))
+        return EXIT_OK
+    for label, value in (("p =", p), ("q =", q), ("r =", r), ("s =", s),
+                         ("norm(x) =", nx), ("norm(y) =", ny),
+                         ("norm(x)*norm(y) =", product), ("norm(output) =", nz),
+                         ("norm multiplicative:", nz == product)):
+        print(label, value)
     return EXIT_OK
 
 
@@ -399,21 +389,22 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     config = RunConfig(seed=args.seed, trials=args.trials, output_format=args.format)
-    if args.command == "verify":
-        return cmd_verify(config)
-    if args.command == "normalize":
-        return cmd_normalize(args.table_file, out=args.out)
-    if args.command == "twist":
-        return cmd_twist(args.sigma1, args.sigma2, args.tau, config,
-                         out=args.out, triple_out=args.triple_out)
-    if args.command == "hadamard":
-        if (args.tseq_file is None) == (args.search is None):
-            parser.error("hadamard needs a quad file or --search N")
-        return cmd_hadamard(args.tseq_file, args.search, out=args.out)
-    if args.command == "compose":
+    try:
+        if args.command == "verify":
+            return cmd_verify(config)
+        if args.command == "normalize":
+            return cmd_normalize(args.table_file, out=args.out)
+        if args.command == "twist":
+            return cmd_twist(args.sigma1, args.sigma2, args.tau, config,
+                             out=args.out, triple_out=args.triple_out)
+        if args.command == "hadamard":
+            if (args.tseq_file is None) == (args.search is None):
+                parser.error("hadamard needs a quad file or --search N")
+            return cmd_hadamard(args.tseq_file, args.search, out=args.out)
         return cmd_compose(args.x_file, args.y_file, config)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_PARSE
+    except _Failure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return failure.code
 
 
 if __name__ == "__main__":

@@ -313,7 +313,6 @@ class UnitA:
 # Frequently used constants.
 Z = LaurentPoly.term(1, 1)
 Z_INV = LaurentPoly.term(1, -1)
-Z_MINUS_ZINV = Z - Z_INV
 
 
 def divexact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:

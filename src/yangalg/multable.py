@@ -241,14 +241,6 @@ def _point_label(idx: tuple[int, ...]) -> str:
     return "+".join(f"b{i}" for i in idx)
 
 
-def point_products(table: MulTable):
-    """p, q -> p * q for proof points, summed from table entries so that
-    ``eval`` is never called; each row p * b_k is built on first use."""
-    c = table.c
-    row = cache(lambda p: c[p[0]] if len(p) == 1 else [a + b for a, b in zip(c[p[0]], c[p[1]])])
-    return lambda p, q: reduce(operator.add, (row(p)[k] for k in q))
-
-
 @cache
 def _proof_pairs() -> tuple:
     """The 36 x 36 pairs (x indices, y indices) of proof points b_i and

@@ -5,9 +5,10 @@ Lagrange-valid tables, exit 3's stderr for 96 tables that fail the Lagrange
 identity, the hashes of 16 seeded ``twist random`` tables and triples, one
 ``--format json verify`` report with hashes of every single-term
 mutant's report and failure lists, and the Hadamard matrix files of
-``hadamard --search n`` with a hash of every T-sequence search's output.  A
-change that alters one
-of these outputs on purpose regenerates the corpus with
+``hadamard --search n`` with a hash of every T-sequence search's output,
+and the exit code, output and files left behind of 17 failing ``normalize``,
+``twist``, ``hadamard`` and ``compose`` runs.  A change that alters one of
+these outputs on purpose regenerates the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -18,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 from pathlib import Path
 
@@ -26,7 +28,7 @@ import pytest
 from yangalg import cli
 from yangalg.algebra import cd_oct_mul, oct_conj, term_mul, yang_mul, yang_mul_with_sign_flip
 from yangalg.multable import MulTable, check_lagrange, normalize, table_of, twist, yang_table
-from yangalg.ortho import random_nf
+from yangalg.ortho import OrthoNF, random_nf
 from yangalg.sequences import brute_force_tseq, format_quad_line
 from mutants import single_term_mutants
 
@@ -120,6 +122,56 @@ def verify_mutants(_work: Path) -> str:
     return "".join(blocks)
 
 
+def _cli_error_argvs(work: Path) -> list[list[str]]:
+    """Write the input files of ``cli_errors`` into ``work``; return the argv
+    of each failing invocation, with paths relative to ``work``."""
+    entries = [list(row) for row in yang_table().c]
+    entries[1][2] = -entries[1][2]
+    far = OrthoNF.identity().to_json()
+    far["u"][0] = {"sign": 1, "exp": 1000}
+    files = {
+        "bad.json": "{not json", "deep.json": "[" * 100000,
+        "neg.json": json.dumps(MulTable(entries).to_json()),
+        "yang.json": json.dumps(yang_table().to_json()), "far.json": json.dumps(far),
+        "nont.txt": "1,1;0,0;0,0;0,0\n", "two.txt": "1;0;0;0\n1,0;0,1;0,0;0,0\n",
+        "big.txt": "9" * 3000 + ";7;0;0\n", "one.txt": "1;0;0;0\n",
+    }
+    for name, text in files.items():
+        (work / name).write_text(text)
+    return [
+        ["normalize", "missing.json"], ["normalize", "bad.json"], ["normalize", "deep.json"],
+        ["normalize", "neg.json"], ["normalize", "yang.json", "--out", "nodir/c.json"],
+        ["twist", "bad.json", "random", "random"], ["twist", "far.json", "far.json", "random"],
+        ["twist", "random", "random", "random", "--out", "nodir/t.json"],
+        ["twist", "random", "random", "random", "--out", "t.json",
+         "--triple-out", "nodir/x.json"],
+        ["hadamard", "--search", "9"], ["hadamard", "nont.txt"], ["hadamard", "two.txt"],
+        ["hadamard", "big.txt"], ["hadamard", "--search", "2", "--out", "nodir/h.txt"],
+        ["compose", "missing.txt", "one.txt"],
+        ["--format", "json", "compose", "big.txt", "one.txt"],
+        ["compose", "two.txt", "one.txt"],
+    ]
+
+
+def cli_errors(work: Path) -> str:
+    """Per failing invocation of ``cli.main``, run in ``work`` with relative
+    paths: the argv, the exit code, the files it left behind, stdout and
+    stderr."""
+    blocks = []
+    argvs, cwd = _cli_error_argvs(work), os.getcwd()
+    os.chdir(work)  # contextlib.chdir needs Python 3.11
+    try:
+        for argv in argvs:
+            before = set(Path().rglob("*"))
+            code, out, err = run_cli(argv)
+            created = sorted(map(str, set(Path().rglob("*")) - before))
+            blocks.append(f"$ {' '.join(argv)}\nexit {code}, created {created}\n"
+                          f"stdout {out!r}\nstderr {err!r}\n")
+    finally:
+        os.chdir(cwd)
+    return "".join(blocks)
+
+
 def twist_files(work: Path) -> str:
     """The exit codes of ``--seed s twist random random random`` for s =
     1..16, then the sha256 of its 16 table files and of its 16 triple
@@ -156,6 +208,7 @@ def hadamard_files(work: Path) -> str:
 
 ARTIFACTS = {
     "certificates.txt": certificates,
+    "cli_errors.txt": cli_errors,
     "hadamard.txt": hadamard_files,
     "lagrange_witnesses.txt": lagrange_witnesses,
     "twist_tables.txt": twist_files,
