@@ -5,7 +5,6 @@ from .laurent import (
     LaurentPoly,
     UnitA,
     divexact,
-    random_poly,
 )
 from .algebra import (
     OctonionElt,
@@ -18,12 +17,11 @@ from .algebra import (
     polar_q,
     quat_conj,
     quat_mul,
-    random_oct,
     thakur_mul,
     trace,
     yang_mul,
 )
-from .ortho import OrthoNF, RecognitionError, o4z_elements, random_nf, recognize
+from .ortho import OrthoNF, RecognitionError, random_nf, recognize
 from .multable import (
     EquivCertificate,
     LagrangeError,
@@ -39,6 +37,7 @@ from .multable import (
     twist,
     verify_certificate,
     yang_table,
+    yang_twist,
 )
 from .sequences import (
     brute_force_tseq,

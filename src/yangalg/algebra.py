@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, UnitA, random_poly, sums_of_products
+from .laurent import LaurentPoly, UnitA, sums_of_products
 
 _ZERO = LaurentPoly.zero()
 _ONE = LaurentPoly.one()
@@ -260,9 +260,3 @@ def decompose_unit(x: OctonionElt) -> tuple[int, UnitA]:
     if u is None:
         raise ValueError(f"element is not on the unit sphere (nonzero coordinates {nonzero})")
     return nonzero[0], u
-
-
-def random_oct(rng, degree_bound: int = 3, coeff_bound: int = 9) -> OctonionElt:
-    """An element with four independent random coordinates."""
-    return OctonionElt(*(random_poly(rng, degree_bound, coeff_bound)
-                         for _ in range(4)))

@@ -55,8 +55,7 @@ from .multable import (
     elduque_check,
     normalize,
     proof_point,
-    twist,
-    yang_table,
+    yang_twist,
 )
 from .ortho import OrthoNF, TBASIS, random_nf
 
@@ -270,7 +269,7 @@ def cmd_twist(s1: str, s2: str, t: str, config: RunConfig,
     rng = random.Random(config.seed)
     with _reading("normal form"):
         triple = EquivCertificate(*[_load_nf(source, rng) for source in (s1, s2, t)])
-    table = twist(yang_table(), *triple).to_json()
+    table = yang_twist(*triple).to_json()
     try:  # entries add up the units' exponents: emit only what reads back
         MulTable.from_json(table)
     except ValueError as exc:
@@ -348,7 +347,11 @@ def cmd_compose(x_file: str, y_file: str, config: RunConfig) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first ``main`` call rather than at
+    import; ``parse_args`` fills a fresh namespace per call, so no flag
+    carries over from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="yangalg",
         description="Exact octonion-algebra calculus over Z[z, 1/z] and "

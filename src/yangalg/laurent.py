@@ -79,9 +79,6 @@ class LaurentPoly:
             return self.coeffs[i]
         return 0
 
-    def constant_term(self) -> int:
-        return self.coeff(0)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.const(other)
@@ -279,9 +276,6 @@ class UnitA:
     def identity(cls) -> UnitA:
         return cls(1, 0)
 
-    def to_poly(self) -> LaurentPoly:
-        return LaurentPoly.term(self.sign, self.exp)
-
     def scale(self, f: LaurentPoly) -> LaurentPoly:
         """The product sign * z^exp * f: f's coefficients, negated when the
         sign is -1, starting at f.lo + exp; no multiplication is done."""
@@ -448,14 +442,6 @@ def _unpack(v: int, k: int, lo: int) -> LaurentPoly:
         digits.append(d)
         v = (v - d) >> k
     return _canonical(lo + skip, tuple(digits))
-
-
-def random_poly(rng, degree_bound: int = 3, coeff_bound: int = 9) -> LaurentPoly:
-    """A random polynomial with exponents in [-degree_bound, degree_bound]
-    and coefficients uniform in [-coeff_bound, coeff_bound]."""
-    coeffs = [rng.randint(-coeff_bound, coeff_bound)
-              for _ in range(2 * degree_bound + 1)]
-    return LaurentPoly(-degree_bound, coeffs)
 
 
 def _is_int(v) -> bool:

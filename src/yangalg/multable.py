@@ -16,18 +16,22 @@ all such multiplications are equivalent:
 Each pass takes the certificate (sigma1, sigma2, tau) so far, reads only
 the entries of the twisted table its step is computed from, and returns the
 extended certificate; it raises only when that step cannot be computed.
-No pass checks its own result or builds a table: the one full table is the
-final replay, whose exact equality with the Yang table is the only proof.
-The passes and ``twist`` compute entries through one function,
-``_entries``, so the normalizer makes no ``eval`` call.
+No pass checks its own result or builds a table.  The final replay is the
+only proof: ``verify_certificate`` compares the input table exactly with
+the Yang table twisted by the inverse certificate, which ``yang_twist``
+reads off Yang's term table as one signed monomial per entry, so the replay
+expands, sums and splits nothing.  The passes and ``twist`` compute entries
+through one function, ``_entries``, so the normalizer makes no ``eval``
+call.
 
 The normalizer's precondition, the Lagrange identity N(x*y) = N(x)N(y), is
 proved exactly by ``check_lagrange``: the defect N(x*y) - N(x)N(y) is an
 A0-biquadratic form, so it vanishes identically once it vanishes on the
-36 x 36 pairs of proof points b_i and b_i + b_j.  Each pair is one integer
-comparison: the table's coordinates are packed at z = 2^k (Kronecker
-substitution, as in ``laurent.sums_of_products``) with a digit width that
-bounds every coefficient of both sides, so nothing is unpacked.
+36 x 36 pairs of proof points b_i and b_i + b_j.  The 64 basis pairs are
+first scanned on the unit sphere, entry by entry.  Every other pair is one
+integer comparison: the table's coordinates are packed at z = 2^k
+(Kronecker substitution, as in ``laurent.sums_of_products``) with a digit
+width that bounds every coefficient of both sides, so nothing is unpacked.
 
 ``MulTable.eval`` extends a table A0-bilinearly through the same kernel, one
 ``sums_of_products`` call per product; ``_entries`` sums a twisted entry the
@@ -43,12 +47,13 @@ from itertools import combinations, product
 
 from .laurent import Z, Z_INV, LaurentPoly, UnitA, pack, sums_of_products
 from .algebra import (
+    _YANG_TERMS,
     OctonionElt,
     decompose_unit,
     norm,
     yang_mul,
 )
-from .ortho import OrthoNF, RecognitionError, TBASIS, recognize
+from .ortho import OrthoNF, RecognitionError, TBASIS, _times_e, recognize
 
 BASIS_LABEL = "e0..e3,ze0..ze3"
 
@@ -206,6 +211,38 @@ def twist(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
     Lagrange property."""
     entry = _entries(table, s1, s2, t)
     return MulTable([[entry(i, j) for j in range(8)] for i in range(8)])
+
+
+# (p, q) -> (k, sign, ci, cj): the one term of ``_YANG_TERMS``, in row
+# k = p xor q, that multiplies x_p by y_q.
+_YANG_TERM_OF = {(p, q): (k, sign, ci, cj)
+                 for k, row in enumerate(_YANG_TERMS) for sign, p, ci, q, cj in row}
+
+
+def yang_twist(s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
+    """``twist(yang_table(), s1, s2, t)``, read off Yang's term table.
+
+    s1(b_i) = w e_p and s2(b_j) = w' e_q with w, w' = ±z^m
+    (``decompose_unit``), and the one term (sign, p, ci, q, cj) of row
+    k = p xor q gives Y(w e_p, w' e_q) = sign w^(ci) w'^(cj) e_k, where
+    ^(c) conjugates z^m to z^-m when c holds; t then conjugates that
+    monomial when t.eps[k] holds and scales it by t.u[t.perm[k]] into slot
+    t.perm[k], as ``OrthoNF.apply`` does.  Each entry is integer arithmetic
+    on signs and exponents: nothing is expanded or summed, and the cost
+    does not depend on the unit exponents.
+    """
+    left = [decompose_unit(s1.apply(b)) for b in TBASIS]
+    right = [decompose_unit(s2.apply(b)) for b in TBASIS]
+
+    def entry(p, w, q, v):
+        k, sign, ci, cj = _YANG_TERM_OF[p, q]
+        exp = (-w.exp if ci else w.exp) + (-v.exp if cj else v.exp)
+        slot = t.perm[k]
+        u = t.u[slot]
+        return _times_e(LaurentPoly.term(sign * w.sign * v.sign * u.sign,
+                                         (-exp if t.eps[k] else exp) + u.exp), slot)
+
+    return MulTable([[entry(p, w, q, v) for q, v in right] for p, w in left])
 
 
 def compose_twists(first: EquivCertificate, second: EquivCertificate) -> EquivCertificate:
@@ -442,8 +479,8 @@ def check_lagrange(table: MulTable) -> LagrangeReport:
     cross coefficient; so F vanishes identically iff it vanishes on the
     36 x 36 pairs of proof points b_i, b_i + b_j, and no division is needed.
 
-    Each pair is one integer comparison in the packed domain of
-    ``_packed_norms``: ``nprod(p, q)``, which is z^(hi-lo) N(p*q) at
+    Each pair past the 64 basis pairs is one integer comparison in the
+    packed domain of ``_packed_norms``: ``nprod(p, q)``, which is z^(hi-lo) N(p*q) at
     z = 2^k, against packed N(p) times packed N(q), each norm packed as
     z N at 2^k and the product shifted by hi - lo - 2 digits.  The
     comparison is exact:
@@ -464,18 +501,35 @@ def check_lagrange(table: MulTable) -> LagrangeReport:
       N(p*q) = N(p)N(q).  Nothing is unpacked.
 
     The 64 basis pairs are checked first; the first failing pair, which has
-    the fewest basis terms, is the witness.
+    the fewest basis terms, is the witness.  Before anything is packed they
+    are scanned in that order on the unit sphere: N(b_i) = 1, so the pair
+    (b_i, b_j) holds iff N(b_i b_j) = 1, and as the constant term of N(x)
+    is the sum of the squares of all of x's coefficients, that is iff entry
+    (i, j) is ±z^s e_k (``decompose_unit``).  The scan gives the packed
+    proof's witness, count and message, without packing an entry whose
+    coefficients would set a wide digit width; once it passes, the basis
+    pairs are proved, and the packed comparisons start at pair 65.
     """
+    pairs = _proof_pairs()
+    for count, (p, q) in enumerate(pairs[:64], 1):
+        try:
+            decompose_unit(table.c[p[0]][q[0]])
+        except ValueError:
+            return _refuted(count, p, q)
     k, lo, hi, nprod = _packed_norms(table)
     norms = {p: pack(n, k, -1) for p, n in _point_norms().items()}
     shift = k * (hi - lo - 2)
-    for count, (p, q) in enumerate(_proof_pairs(), 1):
+    for count, (p, q) in enumerate(pairs[64:], 65):
         if nprod(p, q) != norms[p] * norms[q] << shift:
-            return LagrangeReport(
-                False, count, (proof_point(p), proof_point(q)),
-                f"norm not multiplicative at proof point pair "
-                f"({_point_label(p)}, {_point_label(q)})")
+            return _refuted(count, p, q)
     return LagrangeReport(True, count)
+
+
+def _refuted(count: int, p: tuple[int, ...], q: tuple[int, ...]) -> LagrangeReport:
+    """The failed report whose witness is the pair of proof points p, q."""
+    return LagrangeReport(False, count, (proof_point(p), proof_point(q)),
+                          f"norm not multiplicative at proof point pair "
+                          f"({_point_label(p)}, {_point_label(q)})")
 
 
 def kaplansky_unitize(table: MulTable, cert: EquivCertificate = _NO_TWIST) -> EquivCertificate:
@@ -549,11 +603,11 @@ def normalize(table: MulTable) -> EquivCertificate:
     Proves the Lagrange identity first (``check_lagrange``, raising
     ``LagrangeError`` with the witness pair), then threads the certificate
     through the three passes, which read only the 19 twisted entries their
-    steps are computed from.  The one full table is built by
-    ``verify_certificate``, whose exact replay to the Yang table is the only
-    check of the passes' result: a table that passes the Lagrange proof is
-    equivalent to the Yang table, so for such a table neither the passes nor
-    the replay raise ``NormalizationError``.
+    steps are computed from.  ``verify_certificate``'s exact replay is the
+    only check of the passes' result; it reads the Yang side off Yang's term
+    table (``yang_twist``) and twists nothing.  A table that passes the
+    Lagrange proof is equivalent to the Yang table, so for such a table
+    neither the passes nor the replay raise ``NormalizationError``.
     """
     report = check_lagrange(table)
     if not report.ok:
@@ -566,8 +620,14 @@ def normalize(table: MulTable) -> EquivCertificate:
 
 
 def verify_certificate(table: MulTable, cert: EquivCertificate) -> bool:
-    """True iff twisting the table by the certificate gives the Yang table."""
-    return twist(table, *cert) == yang_table()
+    """True iff twisting the table by the certificate gives the Yang table.
+
+    Twisting is a group action, so twist(T, c) = Y iff T = twist(Y, c^-1):
+    the table is compared with the Yang table twisted by the inverse
+    triple, which ``yang_twist`` reads off Yang's term table, and the table
+    itself is never twisted."""
+    s1, s2, t = cert
+    return table == yang_twist(s1.invert(), s2.invert(), t.invert())
 
 
 def elduque_check(table: MulTable) -> dict[str, bool]:

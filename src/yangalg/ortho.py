@@ -10,7 +10,6 @@ images of the eight-element Z[t]-basis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .laurent import Z, Z_INV, LaurentPoly, UnitA
@@ -199,14 +198,3 @@ def random_nf(rng, exp_bound: int = 3) -> OrthoNF:
     rng.shuffle(perm)
     eps = tuple(bool(rng.getrandbits(1)) for _ in range(4))
     return OrthoNF(u, tuple(perm), eps)
-
-
-def o4z_elements() -> list[OrthoNF]:
-    """The 384 signed permutations: the norm-preserving maps fixing Z^4,
-    i.e. the semidirect product of sign changes by coordinate permutations."""
-    out = []
-    for signs in itertools.product((1, -1), repeat=4):
-        u = tuple(UnitA(s, 0) for s in signs)
-        for perm in itertools.permutations(range(4)):
-            out.append(OrthoNF(u, perm, _NO_EPS))
-    return out

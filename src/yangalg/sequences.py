@@ -154,6 +154,10 @@ def brute_force_tseq(n: int, limit: int | None = None):
         return False
 
     rec(1)
+    # rec reaches itself through its closure cell; emptying the cell frees
+    # the search state (hits, partial sums) now rather than at the next
+    # full garbage collection
+    del rec
     codes = list(hits)
     for t in range(1, 8):
         if limit is not None and len(codes) >= limit:
@@ -301,24 +305,3 @@ def format_hadamard(h, source_lengths) -> str:
     rows = ["".join("+" if v > 0 else "-" for v in row) for row in h]
     return "\n".join([meta] + rows) + "\n"
 
-
-def parse_hadamard(text: str):
-    """Inverse of ``format_hadamard``; returns (metadata, tuple of ±1 rows).
-
-    Raises ValueError unless the rows form a square +/- array whose size is
-    the metadata ``order``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty matrix file")
-    meta = json.loads(lines[0])
-    if not isinstance(meta, dict):
-        raise ValueError("matrix metadata is not a JSON object")
-    rows = lines[1:]
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix rows do not form a square array")
-    if any(set(r) - {"+", "-"} for r in rows):
-        raise ValueError("matrix entries must be + or -")
-    order = meta.get("order")
-    if type(order) is not int or order != len(rows):
-        raise ValueError(f"metadata order {order!r} does not match {len(rows)} rows")
-    return meta, tuple(tuple(1 if ch == "+" else -1 for ch in r) for r in rows)

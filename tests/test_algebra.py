@@ -12,7 +12,6 @@ from yangalg.laurent import (
     Z_INV,
     LaurentPoly,
     UnitA,
-    random_poly,
 )
 from yangalg.algebra import (
     _YANG_TERMS,
@@ -26,13 +25,13 @@ from yangalg.algebra import (
     polar_q,
     quat_conj,
     quat_mul,
-    random_oct,
     term_mul,
     thakur_mul,
     trace,
     yang_mul,
     yang_mul_with_sign_flip,
 )
+from helpers import random_oct, random_poly, unit_poly
 from mutants import single_term_mutants
 
 E = OctonionElt.e
@@ -258,7 +257,7 @@ def test_decompose_unit():
     for _ in range(200):
         k = rng.randrange(4)
         u = UnitA(rng.choice((1, -1)), rng.randint(-6, 6))
-        assert decompose_unit(u.to_poly() * E(k)) == (k, u)
+        assert decompose_unit(unit_poly(u) * E(k)) == (k, u)
     with pytest.raises(ValueError):
         decompose_unit(E(0) + E(1))
     with pytest.raises(ValueError):

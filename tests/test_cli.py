@@ -35,7 +35,8 @@ from yangalg.multable import (
     yang_table,
 )
 from yangalg.ortho import TBASIS, OrthoNF, random_nf
-from yangalg.sequences import is_hadamard, parse_hadamard
+from yangalg.sequences import is_hadamard
+from helpers import parse_hadamard
 from mutants import single_term_mutants
 
 
@@ -700,3 +701,23 @@ def test_cli_import_loads_no_numpy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert run.stdout == "False\n"
+
+
+def test_cli_import_builds_no_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import yangalg.cli as c; print(c._build_parser.cache_info().currsize)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.stdout == "0\n"
+
+
+def test_main_reuses_one_parser_and_no_flag_carries_over(capsys):
+    # the parser is built once per process; each call parses into a fresh
+    # namespace, so --format json does not leak into the next call
+    assert main(["--format", "json", "verify"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["all_passed"] is True
+    parser = cli._build_parser()
+    assert main(["verify"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS {name} ({n} proof points)" for name, n in POINTS.items()] + ["all passed"]
+    assert cli._build_parser() is parser

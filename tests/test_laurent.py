@@ -14,9 +14,9 @@ from yangalg.laurent import (
     LaurentPoly,
     UnitA,
     divexact,
-    random_poly,
     sums_of_products,
 )
+from helpers import random_poly
 
 P = LaurentPoly
 
@@ -97,10 +97,10 @@ def test_conj_examples():
 
 
 def test_constant_term():
-    assert lp(0, 3, 1).constant_term() == 3
-    assert lp(5, 1).constant_term() == 0
+    assert lp(0, 3, 1).coeff(0) == 3
+    assert lp(5, 1).coeff(0) == 0
     prod = lp(0, 1, 1) * lp(-1, 1, 1)
-    assert prod.constant_term() == 2  # sum of squares of (1, 1)
+    assert prod.coeff(0) == 2  # sum of squares of (1, 1)
 
 
 def test_split_examples():
@@ -155,7 +155,7 @@ def test_as_unit():
 
 def test_unit_ops():
     u = UnitA(-1, 3)
-    assert u.to_poly() == lp(3, -1)
+    assert u.scale(P.one()) == lp(3, -1)
     assert u * u.conj() == UnitA.identity()
     for bad_sign in (2, 0, True, 1.0):
         with pytest.raises(ValueError):
@@ -231,7 +231,7 @@ def test_ct_of_self_product():
     rng = random.Random(7)
     for _ in range(300):
         f = random_poly(rng, 5, 9)
-        ct = (f * f.conj()).constant_term()
+        ct = (f * f.conj()).coeff(0)
         assert ct == sum(c * c for c in f.coeffs)
         if ct == 0:
             assert f == P.zero()
@@ -251,7 +251,7 @@ def test_no_nonsquare_constant_norms():
         sq = f * f.conj()
         assert is_perfect_square(sum(sq.coeffs))  # the value at z = 1
         if not sq.coeffs or (sq.lo == 0 and len(sq.coeffs) == 1):
-            assert is_perfect_square(sq.constant_term())
+            assert is_perfect_square(sq.coeff(0))
         for m in non_squares:
             assert sq != P.const(m)
 

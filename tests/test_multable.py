@@ -1,5 +1,6 @@
 """Tests for multiplication tables, twisting, and the normalizer."""
 
+import dataclasses
 import json
 import operator
 import random
@@ -7,7 +8,7 @@ from functools import cache
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from yangalg.laurent import Z, Z_INV, LaurentPoly, UnitA, _unpack, divexact
 from yangalg.algebra import (
@@ -16,7 +17,6 @@ from yangalg.algebra import (
     iso_cd_to_yang,
     norm,
     polar_q,
-    random_oct,
     term_mul,
     thakur_mul,
     trace,
@@ -44,8 +44,10 @@ from yangalg.multable import (
     twist,
     verify_certificate,
     yang_table,
+    yang_twist,
 )
 from yangalg.ortho import OrthoNF, TBASIS, random_nf
+from helpers import random_oct, unit_poly
 from mutants import single_term_mutants
 
 E = OctonionElt.e
@@ -168,7 +170,7 @@ def test_twist_unit_example():
     u = UnitA(1, 1)  # the unit z
     sigma = OrthoNF.sigma((ID, ID, ID, u))
     tw = twist(yang_table(), sigma, sigma, sigma.invert())
-    assert tw.c[1][2] == u.conj().to_poly() * E(3)
+    assert tw.c[1][2] == unit_poly(u.conj()) * E(3)
 
 
 def test_twist_action_composes():
@@ -241,12 +243,16 @@ def test_check_lagrange_witness_is_a_basis_pair_when_one_fails():
     assert report.witness == (TBASIS[2], TBASIS[5])
 
 
+# The proof point pairs in ``check_lagrange``'s documented order: fewest
+# basis terms first.
+ORDERED_PAIRS = sorted(product(PROOF_POINTS, repeat=2), key=lambda pq: len(pq[0]) + len(pq[1]))
+
+
 def lagrange_oracle(table) -> LagrangeReport:
     """``check_lagrange`` as the loop it replaced: N(p*q), summed from the
-    table's entries, against N(p)N(q) by ``algebra.norm``, with the pairs
-    in the documented order (fewest basis terms first)."""
-    pairs = sorted(product(PROOF_POINTS, repeat=2), key=lambda pq: len(pq[0]) + len(pq[1]))
-    for count, (p, q) in enumerate(pairs, 1):
+    table's entries, against N(p)N(q) by ``algebra.norm``, in the order of
+    ``ORDERED_PAIRS``."""
+    for count, (p, q) in enumerate(ORDERED_PAIRS, 1):
         x, y = proof_point(p), proof_point(q)
         pq = OctonionElt.zero()
         for i in p:
@@ -273,7 +279,7 @@ def scaled(table, f, entries=None) -> MulTable:
 
 def constant_part(table) -> MulTable:
     """Each entry coordinate cut down to its constant term."""
-    return MulTable([[OctonionElt.from_coords(f.constant_term() for f in e.coords)
+    return MulTable([[OctonionElt.from_coords(f.coeff(0) for f in e.coords)
                       for e in row] for row in table.c])
 
 
@@ -331,6 +337,48 @@ def test_check_lagrange_matches_oracle_on_mutants(rng, edit):
     if rng.random() < 0.5:
         table = twist(table, *(random_nf(rng, 3) for _ in range(3)))
     assert_matches_lagrange_oracle(table)
+
+
+def first_norm_failure(table):
+    """The first proof point pair of ``ORDERED_PAIRS`` at which N(x*y) !=
+    N(x)N(y) under ``eval``, with its 1-based position."""
+    for count, (p, q) in enumerate(ORDERED_PAIRS, 1):
+        x, y = proof_point(p), proof_point(q)
+        if norm(table.eval(x, y)) != norm(x) * norm(y):
+            return count, (x, y)
+    return None
+
+
+huge_polys = st.builds(LaurentPoly, st.integers(-1000, 1000), st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-10 ** 300, 10 ** 300)), max_size=12))
+huge_octs = st.builds(OctonionElt, huge_polys, huge_polys, huge_polys, huge_polys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(0, 63), huge_octs), min_size=1, max_size=3))
+def test_check_lagrange_witness_is_the_first_entry_off_the_unit_sphere(rng, edits):
+    # a twisted Yang table with entries replaced by elements with large
+    # coefficients, at least one of them off the unit sphere
+    entries = [list(row) for row in
+               twist(yang_table(), *(random_nf(rng, 3) for _ in range(3))).c]
+    for k, e in edits:
+        entries[k // 8][k % 8] = e
+    assume(any(norm(e) != 1 for _k, e in edits))
+    table = MulTable(entries)
+    report = check_lagrange(table)
+    assert not report.ok
+    assert (report.pairs, report.witness) == first_norm_failure(table)
+
+
+def test_check_lagrange_rejects_a_dense_huge_entry_at_its_basis_pair():
+    # entry (3, 5) replaced by 2001 terms of 10^300: the witness is the basis
+    # pair (b3, b5), the 30th pair, as the packed proof would report
+    f = LaurentPoly(-1000, (10 ** 300,) * 2001)
+    report = check_lagrange(edited_yang({(3, 5): lambda _e: OctonionElt(f, f, f, f)}))
+    assert not report.ok and report.pairs == 30
+    assert report.witness == (TBASIS[3], TBASIS[5])
+    assert report.message == "norm not multiplicative at proof point pair (b3, b5)"
 
 
 def full_table(m, lo, hi) -> MulTable:
@@ -462,6 +510,29 @@ def test_twist_matches_tabulated_twisted_product(table, s1, s2, t):
     assert twist(table, s1, s2, t) == table_of(twisted_product(table, s1, s2, t))
 
 
+@settings(max_examples=60, deadline=None)
+@given(normal_forms, normal_forms, normal_forms)
+def test_yang_twist_matches_twist(s1, s2, t):
+    assert yang_twist(s1, s2, t) == twist(yang_table(), s1, s2, t)
+
+
+unit1000 = st.builds(UnitA, st.sampled_from((1, -1)), st.integers(-1000, 1000))
+far_normal_forms = st.builds(OrthoNF, st.tuples(unit1000, unit1000, unit1000, unit1000),
+                             st.permutations(range(4)).map(tuple),
+                             st.tuples(*[st.booleans()] * 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(far_normal_forms, far_normal_forms, far_normal_forms)
+@example(IDENTITY_NF, IDENTITY_NF, IDENTITY_NF)  # the oracle is table_of(yang_mul)
+@example(*(OrthoNF.sigma((UnitA(-1, 1000), UnitA(1, -1000)) * 2),) * 3)
+def test_yang_twist_matches_tabulated_yang_product(s1, s2, t):
+    # the oracle tabulates the twisted product itself: neither twist nor
+    # the term lookup
+    assert yang_twist(s1, s2, t) == table_of(
+        lambda x, y: t.apply(yang_mul(s1.apply(x), s2.apply(y))))
+
+
 def test_kaplansky_on_yang_is_trivial():
     cert = kaplansky_unitize(yang_table())
     assert twist(yang_table(), *cert) == yang_table()
@@ -529,20 +600,25 @@ def test_passes_extend_the_certificate_they_are_given():
 
 
 def test_normalize_builds_one_table(monkeypatch):
-    # the replay builds the one table, 64 entries summed from the 16 basis
-    # images, each split once; the passes read only the 19 entries their
-    # steps are computed from (row and column 0, three scalar-action entries
-    # and e1 * e2), so a pass that re-checks its own result fails here.
-    # Neither calls eval.  Each count is keyed by whether the replay has
-    # started
-    calls = []
+    # the replay builds the one table, the Yang table twisted by the
+    # inverted certificate, off Yang's term table: it sums and splits
+    # nothing, and the input table is never twisted.  The passes read only
+    # the 19 entries their steps are computed from (row and column 0, three
+    # scalar-action entries and e1 * e2), so a pass that re-checks its own
+    # result fails here.  Neither calls eval.  Each count is keyed by
+    # whether the replay has started
+    twists, calls = [], []
     evals, entries, splits = ({True: 0, False: 0} for _ in range(3))
-    real_twist, real_eval = multable.twist, MulTable.eval
+    real_twist, real_yang_twist, real_eval = multable.twist, multable.yang_twist, MulTable.eval
     real_bilinear, real_split = multable._bilinear, LaurentPoly.split_A0
 
     def counting_twist(*args):
-        calls.append(args)
+        twists.append(args)
         return real_twist(*args)
+
+    def counting_yang_twist(*args):
+        calls.append(args)
+        return real_yang_twist(*args)
 
     def counting_eval(table, x, y):
         evals[bool(calls)] += 1
@@ -559,21 +635,23 @@ def test_normalize_builds_one_table(monkeypatch):
     rng = random.Random(51)
     tw = real_twist(yang_table(), *(random_nf(rng, 3) for _ in range(3)))
     monkeypatch.setattr(multable, "twist", counting_twist)
+    monkeypatch.setattr(multable, "yang_twist", counting_yang_twist)
     monkeypatch.setattr(MulTable, "eval", counting_eval)
     monkeypatch.setattr(multable, "_bilinear", counting_bilinear)
     monkeypatch.setattr(LaurentPoly, "split_A0", counting_split)
     cert = normalize(tw)
-    assert len(calls) == 1 and calls[0] == (tw, *cert)
+    assert twists == []
+    assert calls == [(cert.sigma1.invert(), cert.sigma2.invert(), cert.tau.invert())]
     assert evals == {False: 0, True: 0}
-    assert entries == {False: 19, True: 64}
+    assert entries == {False: 19, True: 0}
     # each basis image a pass reads is split once: 8 + 8 for row and
     # column 0, 1 + 3 for (z e0) * e_i and 1 + 1 for e1 * e2
-    assert splits == {False: 16 + 4 + 2, True: 16}
+    assert splits == {False: 16 + 4 + 2, True: 0}
     calls.clear()
     evals.update({True: 0, False: 0})
     with pytest.raises(LagrangeError):
         normalize(negated_entry_table())
-    assert calls == [] and evals == {True: 0, False: 0}
+    assert twists == calls == [] and evals == {True: 0, False: 0}
 
 
 def test_normalize_yang_gives_identity_certificate():
@@ -663,6 +741,14 @@ def test_verify_certificate():
     inverse = EquivCertificate(cert.sigma1.invert(), cert.sigma2.invert(),
                                cert.tau.invert())
     assert verify_certificate(tw, inverse)
+    # one unit sign flipped, in any of the three normal forms
+    for field in ("sigma1", "sigma2", "tau"):
+        nf = getattr(inverse, field)
+        for k in range(4):
+            u = list(nf.u)
+            u[k] = UnitA(-u[k].sign, u[k].exp)
+            bad = dataclasses.replace(inverse, **{field: dataclasses.replace(nf, u=tuple(u))})
+            assert not verify_certificate(tw, bad), (field, k)
 
 
 def test_elduque_checks():

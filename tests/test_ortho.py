@@ -7,15 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from yangalg.laurent import Z, LaurentPoly, UnitA
-from yangalg.algebra import OctonionElt, norm, polar_q, random_oct, yang_mul
+from yangalg.algebra import OctonionElt, norm, polar_q, yang_mul
 from yangalg.ortho import (
     OrthoNF,
     RecognitionError,
     TBASIS,
-    o4z_elements,
     random_nf,
     recognize,
 )
+from helpers import o4z_elements, random_oct, unit_poly
 
 E = OctonionElt.e
 ID = UnitA.identity()
@@ -135,7 +135,7 @@ def test_recognize_rejects_z_image_off_both_branches():
     # image plus another basis vector, next to either right image
     rng = random.Random(35)
     nf = random_nf(rng, 4)
-    tgt, u = nf.perm[2], nf.u[nf.perm[2]].to_poly()
+    tgt, u = nf.perm[2], unit_poly(nf.u[nf.perm[2]])
     e, wrong_slot = E(tgt), E((tgt + 1) % 4)
     for eps2 in (False, True):
         phi = OrthoNF(nf.u, nf.perm, nf.eps[:2] + (eps2,) + nf.eps[3:])
@@ -162,11 +162,11 @@ def test_o4z_count_and_action():
     assert len(set(elems)) == 384
     rng = random.Random(35)
     v = OctonionElt.from_coords(tuple(rng.randint(-9, 9) for _ in range(4)))
-    ssq = sum(c * c for c in (v.coords[k].constant_term() for k in range(4)))
+    ssq = sum(c * c for c in (v.coords[k].coeff(0) for k in range(4)))
     for phi in elems:
         w = phi.apply(v)
         assert all(len(c.coeffs) <= 1 and c.lo == 0 for c in w.coords)
-        assert sum(c.constant_term() ** 2 for c in w.coords) == ssq
+        assert sum(c.coeff(0) ** 2 for c in w.coords) == ssq
 
 
 def test_gamma_is_elementary_abelian_16():
@@ -220,7 +220,7 @@ def test_apply_matches_unit_multiplication(phi, x):
     y = phi.apply(x)
     for i, f in enumerate(x.coords):
         j = phi.perm[i]
-        assert y.coords[j] == phi.u[j].to_poly() * (f.conj() if phi.eps[i] else f)
+        assert y.coords[j] == unit_poly(phi.u[j]) * (f.conj() if phi.eps[i] else f)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,6 @@
 """Tests for the T-sequence layer and the Hadamard pipeline."""
 
+import gc
 import itertools
 import random
 
@@ -17,13 +18,13 @@ from yangalg.sequences import (
     hall_poly,
     is_hadamard,
     is_t_sequence,
-    parse_hadamard,
     parse_quad_line,
     quad_norm,
     read_quads,
     to_pm1_quad,
     yang_compose,
 )
+from helpers import parse_hadamard
 
 TRIVIAL = ((1,), (0,), (0,), (0,))
 LEN2 = ((1, 0), (0, 1), (0, 0), (0, 0))
@@ -207,6 +208,20 @@ def test_brute_force_examples():
         brute_force_tseq(0)
     with pytest.raises(ValueError):
         brute_force_tseq(9)
+
+
+@pytest.mark.parametrize("limit", [None, 1])
+def test_brute_force_leaves_no_reference_cycle(limit):
+    # the search state must be freed on return, not held by a cycle until
+    # the next full collection; with the collector off, a cycle left by the
+    # call is found by the one explicit collection
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_tseq(5, limit)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_to_pm1_quad():
