@@ -276,6 +276,8 @@ def cmd_twist(s1: str, s2: str, t: str, config: RunConfig,
         raise _Failure(EXIT_PARSE, f"twisted table is not readable: {exc}") from None
     out_path = Path(out)
     triple_path = Path(triple_out) if triple_out else out_path.with_suffix(".triple.json")
+    if out_path.resolve() == triple_path.resolve():
+        raise _Failure(EXIT_PARSE, f"--out and --triple-out both name {out_path}")
     _write(out_path, json.dumps(table, sort_keys=True) + "\n", "output")
     try:
         _write(triple_path, json.dumps(triple.to_json(), sort_keys=True) + "\n", "output")

@@ -18,11 +18,16 @@ the entries of the twisted table its step is computed from, and returns the
 extended certificate; it raises only when that step cannot be computed.
 No pass checks its own result or builds a table.  The final replay is the
 only proof: ``verify_certificate`` compares the input table exactly with
-the Yang table twisted by the inverse certificate, which ``yang_twist``
-reads off Yang's term table as one signed monomial per entry, so the replay
-expands, sums and splits nothing.  The passes and ``twist`` compute entries
-through one function, ``_entries``, so the normalizer makes no ``eval``
-call.
+the Yang table twisted by the inverse certificate.
+
+The passes and the replay twist entries one way.  Every table equivalent to
+Yang's is a term table: block (p, q), the products of A e_p with A e_q, is
+(a e_p)(b e_q) = sign z^s a^(ci) b^(cj) e_k, ^(c) conjugating when c holds.
+``_terms`` reads the 16 blocks off the table and ``_entries`` computes a
+twisted entry from its block as one signed monomial, in integer arithmetic
+on signs and exponents; ``yang_twist`` is the same on Yang's blocks.  After
+the Lagrange proof the normalizer expands, sums, splits and multiplies no
+polynomial.
 
 The normalizer's precondition, the Lagrange identity N(x*y) = N(x)N(y), is
 proved exactly by ``check_lagrange``: the defect N(x*y) - N(x)N(y) is an
@@ -34,8 +39,8 @@ integer comparison: the table's coordinates are packed at z = 2^k
 width that bounds every coefficient of both sides, so nothing is unpacked.
 
 ``MulTable.eval`` extends a table A0-bilinearly through the same kernel, one
-``sums_of_products`` call per product; ``_entries`` sums a twisted entry the
-same way from the expansions of two basis images.
+``sums_of_products`` call per product; ``twist`` sums the entries of an
+arbitrary table the same way from the expansions of the basis images.
 """
 
 from __future__ import annotations
@@ -46,13 +51,7 @@ from functools import cache, reduce
 from itertools import combinations, product
 
 from .laurent import Z, Z_INV, LaurentPoly, UnitA, pack, sums_of_products
-from .algebra import (
-    _YANG_TERMS,
-    OctonionElt,
-    decompose_unit,
-    norm,
-    yang_mul,
-)
+from .algebra import OctonionElt, decompose_unit, norm, yang_mul
 from .ortho import OrthoNF, RecognitionError, TBASIS, _times_e, recognize
 
 BASIS_LABEL = "e0..e3,ze0..ze3"
@@ -67,8 +66,9 @@ class LagrangeError(ValueError):
 
 
 class NormalizationError(ValueError):
-    """Raised when no certificate can be built: a pass cannot compute its
-    step, or the composed certificate does not replay to the Yang table."""
+    """Raised when no certificate can be built: a block of the table does
+    not decode, a pass cannot compute its step, or the composed certificate
+    does not replay to the Yang table."""
 
 
 class MulTable:
@@ -194,55 +194,80 @@ class EquivCertificate:
 _NO_TWIST = EquivCertificate.identity()
 
 
-def _entries(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF):
-    """(i, j) -> entry (i, j) of ``twist(table, s1, s2, t)``, each computed
-    once.  Each s1(b_i) and s2(b_j) is a signed monomial times a basis
-    element, expanded on first use; the entry is t of ``_bilinear`` over
-    the two expansions, as ``eval`` would sum it."""
-    left = cache(lambda i: _expand(s1.apply(TBASIS[i])))
-    right = cache(lambda j: _expand(s2.apply(TBASIS[j])))
-    return cache(lambda i, j: t.apply(_bilinear(table.c, left(i), right(j))))
-
-
 def twist(table: MulTable, s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
-    """Table of the twisted product x, y -> t(table(s1 x, s2 y)): its 64
-    ``_entries``, from 16 expanded basis images.  Any bilinear table twists
-    this way, Lagrange or not; twisting by orthogonal maps preserves the
-    Lagrange property."""
-    entry = _entries(table, s1, s2, t)
-    return MulTable([[entry(i, j) for j in range(8)] for i in range(8)])
+    """Table of the twisted product x, y -> t(table(s1 x, s2 y)): entry
+    (i, j) is t of ``_bilinear`` over the expansions of s1(b_i) and s2(b_j),
+    as ``eval`` would sum it.  Any bilinear table twists this way, Lagrange
+    or not; twisting by orthogonal maps preserves the Lagrange property."""
+    left = [_expand(s1.apply(b)) for b in TBASIS]
+    right = [_expand(s2.apply(b)) for b in TBASIS]
+    return MulTable([[t.apply(_bilinear(table.c, x, y)) for y in right] for x in left])
 
 
-# (p, q) -> (k, sign, ci, cj): the one term of ``_YANG_TERMS``, in row
-# k = p xor q, that multiplies x_p by y_q.
-_YANG_TERM_OF = {(p, q): (k, sign, ci, cj)
-                 for k, row in enumerate(_YANG_TERMS) for sign, p, ci, q, cj in row}
+def _terms(table: MulTable) -> dict:
+    """(p, q) -> (k, sign, s, ci, cj): block (p, q) of ``table`` read as a
+    term table's, (a e_p)(b e_q) = sign z^s a^(ci) b^(cj) e_k.
 
-
-def yang_twist(s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
-    """``twist(yang_table(), s1, s2, t)``, read off Yang's term table.
-
-    s1(b_i) = w e_p and s2(b_j) = w' e_q with w, w' = ±z^m
-    (``decompose_unit``), and the one term (sign, p, ci, q, cj) of row
-    k = p xor q gives Y(w e_p, w' e_q) = sign w^(ci) w'^(cj) e_k, where
-    ^(c) conjugates z^m to z^-m when c holds; t then conjugates that
-    monomial when t.eps[k] holds and scales it by t.u[t.perm[k]] into slot
-    t.perm[k], as ``OrthoNF.apply`` does.  Each entry is integer arithmetic
-    on signs and exponents: nothing is expanded or summed, and the cost
-    does not depend on the unit exponents.
+    Entry (p, q) = e_p e_q gives sign z^s e_k (``decompose_unit``), and
+    entries (p + 4, q) and (p, q + 4), with z e_p or z e_q as a factor, give
+    ci and cj: conjugating z lowers the exponent s by one rather than
+    raising it.  Nothing else is checked, so a table that is not a term
+    table decodes to one that differs from it; the replay is the proof.
     """
-    left = [decompose_unit(s1.apply(b)) for b in TBASIS]
-    right = [decompose_unit(s2.apply(b)) for b in TBASIS]
+    def unit(i, j):
+        try:
+            return decompose_unit(table.c[i][j])
+        except ValueError as exc:
+            raise NormalizationError(f"entry ({i}, {j}) of block ({i % 4}, {j % 4}) "
+                                     f"is not a unit monomial: {exc}") from exc
 
-    def entry(p, w, q, v):
-        k, sign, ci, cj = _YANG_TERM_OF[p, q]
-        exp = (-w.exp if ci else w.exp) + (-v.exp if cj else v.exp)
+    terms = {}
+    for p, q in product(range(4), repeat=2):
+        k, u = unit(p, q)
+        terms[p, q] = (k, u.sign, u.exp, unit(p + 4, q)[1].exp < u.exp,
+                       unit(p, q + 4)[1].exp < u.exp)
+    return terms
+
+
+def _entries(terms: dict, s1: OrthoNF, s2: OrthoNF, t: OrthoNF):
+    """(i, j) -> entry (i, j) of the term table ``terms`` (``_terms``)
+    twisted by (s1, s2, t), each computed once.
+
+    s1(b_i) = w e_p and s2(b_j) = v e_q with w, v = ±z^m
+    (``decompose_unit``), each read on first use, and block (p, q) =
+    (k, sign, s, ci, cj) gives (w e_p)(v e_q) = sign z^s w^(ci) v^(cj) e_k;
+    t then conjugates that monomial when t.eps[k] holds and scales it by
+    t.u[t.perm[k]] into slot t.perm[k], as ``OrthoNF.apply`` does.  Each
+    entry is integer arithmetic on signs and exponents: nothing is expanded
+    or summed, and the cost does not depend on the exponents.
+    """
+    left = cache(lambda i: decompose_unit(s1.apply(TBASIS[i])))
+    right = cache(lambda j: decompose_unit(s2.apply(TBASIS[j])))
+
+    @cache
+    def entry(i, j):
+        (p, w), (q, v) = left(i), right(j)
+        k, sign, s, ci, cj = terms[p, q]
+        exp = s + (-w.exp if ci else w.exp) + (-v.exp if cj else v.exp)
         slot = t.perm[k]
         u = t.u[slot]
         return _times_e(LaurentPoly.term(sign * w.sign * v.sign * u.sign,
                                          (-exp if t.eps[k] else exp) + u.exp), slot)
 
-    return MulTable([[entry(p, w, q, v) for q, v in right] for p, w in left])
+    return entry
+
+
+@cache
+def _yang_terms() -> dict:
+    """The blocks of the Yang table (read once, shared)."""
+    return _terms(yang_table())
+
+
+def yang_twist(s1: OrthoNF, s2: OrthoNF, t: OrthoNF) -> MulTable:
+    """``twist(yang_table(), s1, s2, t)``: the 64 ``_entries`` of Yang's
+    blocks, each one signed monomial, so nothing is expanded or summed."""
+    entry = _entries(_yang_terms(), s1, s2, t)
+    return MulTable([[entry(i, j) for j in range(8)] for i in range(8)])
 
 
 def compose_twists(first: EquivCertificate, second: EquivCertificate) -> EquivCertificate:
@@ -541,8 +566,12 @@ def kaplansky_unitize(table: MulTable, cert: EquivCertificate = _NO_TWIST) -> Eq
     c = e0*e0 = L(e0), a unit times e_i with i and the unit read off L's
     normal form, which a final conjugation by some sigma with sigma(e0) = c
     moves onto e0.  Reads row and column 0, the images of L and R.
+
+    Like every pass, it reads the twisted entries off the table's blocks
+    (``_terms``), raising ``NormalizationError`` when an entry a block is
+    read from is not a unit monomial.
     """
-    entry = _entries(table, *cert)
+    entry = _entries(_terms(table), *cert)
     try:
         l_nf = recognize([entry(0, j) for j in range(8)])
         r_nf = recognize([entry(i, 0) for i in range(8)])
@@ -566,14 +595,18 @@ def straighten_scalar_action(table: MulTable,
     the latter branch is repaired by conjugating the i-th coordinate.  The
     fix is the self-twist x*y -> tau(tau(x) * tau(y)) by the collected
     conjugations.  Reads entry (4, i), (z e0) * e_i, for i = 1, 2, 3.
+
+    After ``kaplansky_unitize`` e0 is a left identity, so block (0, i) is
+    e_i with no shift and the entry is z^±1 e_i: within ``normalize`` this
+    pass does not raise.
     """
-    entry = _entries(table, *cert)
+    entry = _entries(_terms(table), *cert)
     eps = [False] * 4
     for i in range(1, 4):
         probe = entry(4, i)
-        if probe == Z_INV * OctonionElt.e(i):
+        if probe == _times_e(Z_INV, i):
             eps[i] = True
-        elif probe != Z * OctonionElt.e(i):
+        elif probe != _times_e(Z, i):
             raise NormalizationError(f"(z e0) * e{i} matches neither scalar-action branch")
     tau = OrthoNF.tau(eps)
     return compose_twists(cert, EquivCertificate(tau, tau, tau))
@@ -584,13 +617,11 @@ def align_triple_products(table: MulTable,
     """Extend ``cert`` so that e1 * e2 = e3, which for a Lagrange table
     forces the cyclic pattern e_i e_j = e_k = -e_j e_i.
 
-    e1 * e2 is necessarily of the form u e3; conjugating by
-    sigma_(1,1,1,u) removes the unit.  Reads entry (1, 2), e1 * e2.
+    e1 * e2 is a twisted entry, so of the form u e_k, and for a Lagrange
+    table k = 3; conjugating by sigma_(1,1,1,u) removes the unit.  Reads
+    entry (1, 2), e1 * e2.
     """
-    try:
-        idx, u = decompose_unit(_entries(table, *cert)(1, 2))
-    except ValueError as exc:
-        raise NormalizationError(f"e1*e2 is not on the unit sphere: {exc}") from exc
+    idx, u = decompose_unit(_entries(_terms(table), *cert)(1, 2))
     if idx != 3:
         raise NormalizationError("e1*e2 is not a unit multiple of e3")
     sigma = OrthoNF.sigma((UnitA.identity(),) * 3 + (u,))
@@ -602,12 +633,15 @@ def normalize(table: MulTable) -> EquivCertificate:
 
     Proves the Lagrange identity first (``check_lagrange``, raising
     ``LagrangeError`` with the witness pair), then threads the certificate
-    through the three passes, which read only the 19 twisted entries their
-    steps are computed from.  ``verify_certificate``'s exact replay is the
-    only check of the passes' result; it reads the Yang side off Yang's term
-    table (``yang_twist``) and twists nothing.  A table that passes the
-    Lagrange proof is equivalent to the Yang table, so for such a table
-    neither the passes nor the replay raise ``NormalizationError``.
+    through the three passes, which read the table's 16 blocks
+    (``_terms``) and only the 19 twisted entries their steps are computed
+    from.  ``verify_certificate``'s exact replay is the only check of the
+    passes' result; it computes the Yang side from Yang's blocks
+    (``yang_twist``) and twists nothing.  Past ``check_lagrange`` nothing
+    is expanded, split or multiplied as a polynomial.  A table that passes
+    the Lagrange proof is equivalent to the Yang table, hence a term table,
+    so for such a table neither the passes nor the replay raise
+    ``NormalizationError``.
     """
     report = check_lagrange(table)
     if not report.ok:
@@ -624,7 +658,7 @@ def verify_certificate(table: MulTable, cert: EquivCertificate) -> bool:
 
     Twisting is a group action, so twist(T, c) = Y iff T = twist(Y, c^-1):
     the table is compared with the Yang table twisted by the inverse
-    triple, which ``yang_twist`` reads off Yang's term table, and the table
+    triple, which ``yang_twist`` computes from Yang's blocks, and the table
     itself is never twisted."""
     s1, s2, t = cert
     return table == yang_twist(s1.invert(), s2.invert(), t.invert())

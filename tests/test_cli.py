@@ -25,6 +25,7 @@ from yangalg.algebra import (
     yang_mul_with_sign_flip,
 )
 from yangalg.cli import RunConfig, main, run_verify
+from yangalg.laurent import UnitA
 from yangalg.multable import (
     EquivCertificate,
     MulTable,
@@ -559,6 +560,33 @@ def test_compose_norm_report_values(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["norm_x"] == {"lo": 0, "coeffs": [2]}
     assert payload["norm_product"] == {"lo": 0, "coeffs": [4]}
+
+
+@pytest.mark.parametrize("triple_out", ["t.json", "./t.json"])
+def test_twist_refuses_one_file_for_table_and_triple(triple_out, tmp_path, monkeypatch, capsys):
+    # writing both would leave only the triple in the file
+    monkeypatch.chdir(tmp_path)
+    assert main(["twist", "random", "random", "random", "--out", "t.json",
+                 "--triple-out", triple_out]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --out and --triple-out both name t.json\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_normalize_twisted_yang_table_with_large_exponents(tmp_path, capsys):
+    # units near z^+-500: the entries add up two of them and stay within the
+    # exponent bound
+    nf = OrthoNF.sigma((UnitA(1, 500), UnitA(-1, -500), UnitA(1, 499), UnitA(-1, -499)))
+    nf_file, id_file = tmp_path / "sigma.json", tmp_path / "id.json"
+    nf_file.write_text(json.dumps(nf.to_json()))
+    id_file.write_text(json.dumps(OrthoNF.identity().to_json()))
+    table_file, cert_file = tmp_path / "far.json", tmp_path / "far.cert.json"
+    assert main(["twist", str(nf_file), str(nf_file), str(id_file),
+                 "--out", str(table_file)]) == 0
+    assert main(["normalize", str(table_file)]) == 0
+    assert capsys.readouterr().out.endswith(f"certificate written to {cert_file}\n")
+    table = MulTable.from_json(json.loads(table_file.read_text()))
+    assert verify_certificate(table, EquivCertificate.from_json(json.loads(cert_file.read_text())))
 
 
 def test_twist_leaves_no_partial_output(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from yangalg.laurent import Z, Z_INV, LaurentPoly, UnitA, _unpack, divexact
 from yangalg.algebra import (
+    _YANG_TERMS,
     OctonionElt,
     cd_oct_mul,
     iso_cd_to_yang,
@@ -533,6 +534,31 @@ def test_yang_twist_matches_tabulated_yang_product(s1, s2, t):
         lambda x, y: t.apply(yang_mul(s1.apply(x), s2.apply(y))))
 
 
+def term_table(terms, s1, s2, t) -> MulTable:
+    entry = multable._entries(terms, s1, s2, t)
+    return MulTable([[entry(i, j) for j in range(8)] for i in range(8)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["yang", "cd", "thakur", "opposite", "conjugated"]),
+       st.tuples(normal_forms, normal_forms, normal_forms),
+       st.tuples(normal_forms, normal_forms, normal_forms))
+def test_terms_decode_twisted_lagrange_tables(name, made_by, triple):
+    # every table equivalent to Yang's is a term table: its 16 blocks
+    # rebuild it, and twisting the blocks is twisting the table
+    table = twist(PINNED_LAGRANGE_TABLES[name], *made_by)
+    terms = multable._terms(table)
+    assert term_table(terms, IDENTITY_NF, IDENTITY_NF, IDENTITY_NF) == table
+    assert term_table(terms, *triple) == twist(table, *triple)
+
+
+def test_terms_of_yang_are_its_term_table():
+    # term (sign, p, ci, q, cj) of row k is block (p, q) = (k, sign, 0, ci, cj)
+    assert multable._terms(yang_table()) == {
+        (p, q): (k, sign, 0, ci, cj)
+        for k, row in enumerate(_YANG_TERMS) for sign, p, ci, q, cj in row}
+
+
 def test_kaplansky_on_yang_is_trivial():
     cert = kaplansky_unitize(yang_table())
     assert twist(yang_table(), *cert) == yang_table()
@@ -601,12 +627,10 @@ def test_passes_extend_the_certificate_they_are_given():
 
 def test_normalize_builds_one_table(monkeypatch):
     # the replay builds the one table, the Yang table twisted by the
-    # inverted certificate, off Yang's term table: it sums and splits
-    # nothing, and the input table is never twisted.  The passes read only
-    # the 19 entries their steps are computed from (row and column 0, three
-    # scalar-action entries and e1 * e2), so a pass that re-checks its own
-    # result fails here.  Neither calls eval.  Each count is keyed by
-    # whether the replay has started
+    # inverted certificate, from Yang's blocks, and the input table is
+    # never twisted.  The passes compute their entries from the table's
+    # blocks and the replay from Yang's, so neither sums, splits or calls
+    # eval.  Each count is keyed by whether the replay has started
     twists, calls = [], []
     evals, entries, splits = ({True: 0, False: 0} for _ in range(3))
     real_twist, real_yang_twist, real_eval = multable.twist, multable.yang_twist, MulTable.eval
@@ -643,15 +667,45 @@ def test_normalize_builds_one_table(monkeypatch):
     assert twists == []
     assert calls == [(cert.sigma1.invert(), cert.sigma2.invert(), cert.tau.invert())]
     assert evals == {False: 0, True: 0}
-    assert entries == {False: 19, True: 0}
-    # each basis image a pass reads is split once: 8 + 8 for row and
-    # column 0, 1 + 3 for (z e0) * e_i and 1 + 1 for e1 * e2
-    assert splits == {False: 16 + 4 + 2, True: 0}
+    assert entries == {False: 0, True: 0}
+    assert splits == {False: 0, True: 0}
     calls.clear()
     evals.update({True: 0, False: 0})
     with pytest.raises(LagrangeError):
         normalize(negated_entry_table())
     assert twists == calls == [] and evals == {True: 0, False: 0}
+
+
+def test_normalize_multiplies_no_polynomial_past_the_lagrange_proof(monkeypatch):
+    # Yang twisted by (sigma, sigma, id) with units z^+-500: a product of
+    # polynomials would cost time in the exponents; past check_lagrange
+    # there is none
+    counts = {"mul": 0, "bilinear": 0, "split": 0}
+    lagrange = []
+    real_check = multable.check_lagrange
+
+    def counting_check(table):
+        lagrange.append(table)
+        try:
+            return real_check(table)
+        finally:
+            lagrange.pop()
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += not lagrange
+            return real(*args)
+        return wrapper
+
+    sigma = OrthoNF.sigma((UnitA(1, 500), UnitA(-1, -500), UnitA(1, 499), UnitA(-1, -499)))
+    table = yang_twist(sigma, sigma, IDENTITY_NF)
+    monkeypatch.setattr(multable, "check_lagrange", counting_check)
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting("mul", LaurentPoly.__mul__))
+    monkeypatch.setattr(multable, "_bilinear", counting("bilinear", multable._bilinear))
+    monkeypatch.setattr(LaurentPoly, "split_A0", counting("split", LaurentPoly.split_A0))
+    cert = normalize(table)
+    assert counts == {"mul": 0, "bilinear": 0, "split": 0}
+    assert verify_certificate(table, cert)
 
 
 def test_normalize_yang_gives_identity_certificate():
@@ -807,6 +861,19 @@ def doubled(e):
     return e * 2
 
 
+def moved_block(dst, src):
+    """Edits that overwrite block ``dst`` of the Yang table, its entries
+    (p + a, q + b) for a, b in {0, 4}, with block ``src``."""
+    (p, q), (r, s) = dst, src
+    y = yang_table().c
+    return {(p + a, q + b): lambda _e, a=a, b=b: y[r + a][s + b] for a in (0, 4) for b in (0, 4)}
+
+
+def undecodable(i, j):
+    """The message for entry (i, j), off the unit sphere, of its block."""
+    return rf"^entry \({i}, {j}\) of block \({i % 4}, {j % 4}\) is not a unit monomial: "
+
+
 TRANSLATION = r"^translation by e0 is not orthogonal: "
 REPLAY = r"^composed certificate fails to replay to the Yang table$"
 KAPLANSKY_ENTRIES = [(0, 1), (2, 0), (0, 6), (7, 0)]
@@ -814,20 +881,25 @@ KAPLANSKY_ENTRIES = [(0, 1), (2, 0), (0, 6), (7, 0)]
 
 @pytest.mark.parametrize("entry", KAPLANSKY_ENTRIES)
 def test_kaplansky_rejects_non_orthogonal_translation(entry):
+    # the block holding ``entry``, in row or column 0, is overwritten by the
+    # next block of that row or column: two basis images of a translation
+    # by e0 land in one slot
+    p, q = entry[0] % 4, entry[1] % 4
+    neighbour = (0, q % 3 + 1) if p == 0 else (p % 3 + 1, 0)
     with pytest.raises(NormalizationError, match=TRANSLATION):
-        kaplansky_unitize(edited_yang({entry: doubled}))
+        kaplansky_unitize(edited_yang(moved_block((p, q), neighbour)))
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_straighten_rejects_unmatched_scalar_branch(i):
+    """``normalize`` cannot reach this message: after ``kaplansky_unitize``
+    e0 is a left identity, so block (0, i) is e_i with no shift and entry
+    (4, i) is z^±1 e_i.  A direct call on a term table whose e0 is not a
+    left identity, e0 e_i = z e_i, reaches it: (z e0) e_i = z^2 e_i."""
+    shifted = {(a, i + b): lambda e: Z * e for a in (0, 4) for b in (0, 4)}
     with pytest.raises(NormalizationError,
                        match=rf"^\(z e0\) \* e{i} matches neither scalar-action branch$"):
-        straighten_scalar_action(edited_yang({(4, i): doubled}))
-
-
-def test_align_rejects_e1e2_off_the_unit_sphere():
-    with pytest.raises(NormalizationError, match=r"^e1\*e2 is not on the unit sphere: "):
-        align_triple_products(edited_yang({(1, 2): doubled}))
+        straighten_scalar_action(edited_yang(shifted))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -836,22 +908,21 @@ def test_align_rejects_e1e2_off_e3(k):
         align_triple_products(edited_yang({(1, 2): lambda _e: E(k)}))
 
 
-# (name, edits, message) for 26 crafted tables, each with the message by
-# which ``normalize`` refuses it once the Lagrange proof is forced open.  The
-# last 11 get through every step of the passes: only the replay sees their
-# fault.
+# (name, edits, message) for 27 crafted tables, each with the message by
+# which ``normalize`` refuses it once the Lagrange proof is forced open: a
+# doubled entry that a block is read from does not decode; two row-0 blocks
+# in one slot make the translation by e0 non-orthogonal; e1 * e2 = e_k with
+# k != 3 fails the alignment.  A negated entry decodes, and the passes get
+# through every step, so only the replay sees its fault.
 CRAFTED = [
-    *[(f"doubled {e}", {e: doubled}, TRANSLATION) for e in KAPLANSKY_ENTRIES],
-    *[(f"negated {e}", {e: operator.neg}, TRANSLATION)
-      for e in [(0, 3), (3, 0), (0, 5), (6, 0)]],
-    *[(f"doubled (4, {i})", {(4, i): doubled},
-       rf"^\(z e0\) \* e{i} matches neither scalar-action branch$") for i in [1, 2, 3]],
-    ("doubled (1, 2)", {(1, 2): doubled}, r"^e1\*e2 is not on the unit sphere: "),
+    *[(f"doubled {e}", {e: doubled}, undecodable(*e))
+      for e in KAPLANSKY_ENTRIES + [(4, 1), (4, 2), (4, 3), (1, 2)]],
+    ("block (0, 2) = block (0, 1)", moved_block((0, 2), (0, 1)), TRANSLATION),
     *[(f"(1, 2) = e{k}", {(1, 2): lambda _e, k=k: E(k)},
        r"^e1\*e2 is not a unit multiple of e3$") for k in [0, 1, 2]],
     *[(f"negated {e}", {e: operator.neg}, REPLAY)
-      for e in [(4, 4), (4, 5), (4, 6), (4, 7), (2, 1), (2, 3), (3, 2), (3, 1), (1, 3),
-                (1, 2), (5, 6)]],
+      for e in [(0, 3), (3, 0), (0, 5), (6, 0), (4, 4), (4, 5), (4, 6), (4, 7), (2, 1),
+                (2, 3), (3, 2), (3, 1), (1, 3), (1, 2), (5, 6)]],
 ]
 
 
